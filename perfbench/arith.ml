@@ -1,7 +1,7 @@
 (* The benchmark's own arithmetic, kept free of I/O so test_arith.ml can
-   pin it: nearest-rank percentiles, open-loop schedule accounting, the
-   self-time ledger over merged cross-process traces, and counter deltas
-   between metric scrapes. *)
+   pin it: nearest-rank percentiles, run-set quartiles, open-loop
+   schedule accounting, the self-time ledger over merged cross-process
+   traces, and counter deltas between metric scrapes. *)
 
 module Trace = Core.Prio.Obs_trace
 
@@ -24,10 +24,26 @@ let sorted_of_list xs =
 
 let median xs = percentile ~pct:50 (sorted_of_list xs)
 
-(* The least of [f] over the rounds of a run. On a shared host
-   interference only ever adds time, so the least-disturbed round is the
-   steadiest estimate of what the code itself costs. *)
-let best f rounds = List.fold_left (fun acc r -> Float.min acc (f r)) infinity rounds
+(* First quartile, median and third quartile of a run set, as Python's
+   [statistics.quantiles(xs, n=4)] gives them (the "exclusive" method:
+   linear interpolation at rank (n+1)q), by which run-to-run spread is
+   judged against the regression bounds. *)
+let quartiles xs =
+  let a = sorted_of_list xs in
+  let n = Array.length a in
+  if n < 2 then invalid_arg "Arith.quartiles: fewer than two samples";
+  let q j =
+    let m = (n + 1) * j in
+    let k = max 1 (min (n - 1) (m / 4)) in
+    let frac = float_of_int (m - (k * 4)) /. 4. in
+    a.(k - 1) +. ((a.(k) -. a.(k - 1)) *. frac)
+  in
+  (q 1, q 2, q 3)
+
+(* Quartile distance as a share of the median. *)
+let iqr_share xs =
+  let q1, med, q3 = quartiles xs in
+  (q3 -. q1) /. med
 
 (* The latency tail: the highest of p99/p95/p90 that still has at least
    ten samples above its rank, so the reported tail rests on enough

@@ -1,6 +1,7 @@
 (* Pins the benchmark's own arithmetic (arith.ml): percentiles and the
-   tail choice, open-loop latency and generator lag, the self-time
-   ledger over a merged cross-process trace, and scrape deltas. *)
+   tail choice, run-set quartiles, open-loop latency and generator lag,
+   the self-time ledger over a merged cross-process trace, and scrape
+   deltas. *)
 
 module A = Perfbench.Arith
 module Trace = Core.Prio.Obs_trace
@@ -29,6 +30,16 @@ let test_tail_choice () =
   Alcotest.(check pct) "99 samples: no tail" None (tail 99);
   Alcotest.(check (option (pair int close))) "value at the chosen rank"
     (Some (99, 990.)) (A.tail (Array.init 1000 (fun i -> float_of_int (i + 1))))
+
+(* Expected values from Python's statistics.quantiles(xs, n=4) and
+   statistics.median. *)
+let test_quartiles () =
+  let q = Alcotest.(triple close close close) in
+  Alcotest.(check q) "ten values, interpolated" (3.5, 24., 160.)
+    (A.quartiles [ 512.; 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256. ]);
+  Alcotest.(check q) "three values" (1., 2., 3.) (A.quartiles [ 3.; 1.; 2. ]);
+  Alcotest.(check close) "spread of seven values" 1.4
+    (A.iqr_share [ 5.; 1.; 9.; 7.; 3.; 11.; 2. ])
 
 (* One generator thread against a server that answers in 1 ms, except
    submission 1 which stalls for 25 ms; arrivals every 10 ms. *)
@@ -150,6 +161,7 @@ let () =
         [
           Alcotest.test_case "nearest-rank percentiles" `Quick test_percentiles;
           Alcotest.test_case "tail percentile choice" `Quick test_tail_choice;
+          Alcotest.test_case "run-set quartiles and spread" `Quick test_quartiles;
           Alcotest.test_case "open-loop latency, lag, backlog" `Quick test_open_loop;
           Alcotest.test_case "cross-process self-time ledger" `Quick test_ledger;
           Alcotest.test_case "scrape counter deltas" `Quick test_scrape_deltas;
