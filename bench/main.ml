@@ -1155,9 +1155,6 @@ let streaming () =
               default_tuning with
               epoch_size;
               checkpoint_dir = Some ckpt_dirs.(i);
-              (* rotation is the snapshot trigger; per-decision snapshots
-                 would fsync once per submission *)
-              checkpoint_every = max_int;
             }
         in
         let cfg =

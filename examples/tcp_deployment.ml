@@ -349,8 +349,9 @@ let () =
     merged;
 
   (* --- durability drill: the same SIGKILL, but against a deployment
-     that persists an HMAC-authenticated snapshot after every decision.
-     The restarted follower resumes from its snapshot, so the aggregate
+     that journals every decision and persists HMAC-authenticated
+     snapshots. The restarted follower resumes from its snapshot plus the
+     journal records since it, so the aggregate
      collected at the end still covers every value accepted before the
      crash — nothing lost, nothing double-counted --- *)
   let ckpt_dir =
@@ -393,7 +394,7 @@ let () =
   in
   let want = List.fold_left ( + ) 0 (pre_crash @ post_crash) in
   Printf.printf
-    "durability drill: follower killed and restored from snapshot; aggregate %s \
+    "durability drill: follower killed and restored from snapshot + journal; aggregate %s \
      (expected %d) — pre-crash shares survived\n"
     (Prio.Bigint.to_string survived) want;
   assert (Prio.Bigint.to_string survived = string_of_int want);

@@ -23,18 +23,19 @@
     ({!derive_key}), so a snapshot forged without the master secret, one
     belonging to a different server, or one from a deployment with a
     different master all fail verification — the decoder authenticates
-    before it parses. Files are written atomically (temp file + rename),
-    so a crash mid-write leaves the previous snapshot intact rather than
-    a truncated one.
+    before it parses. Files are written atomically (temp file + rename,
+    then an fsync of the directory), so a crash mid-write leaves the
+    previous snapshot intact rather than a truncated one, and a snapshot
+    that [save] reported is still there after a power loss.
 
     This module also owns the {e decision journal} — the write-ahead log
-    that closes the gap a snapshot leaves open. A snapshot is taken every
-    [checkpoint_every] decisions; a decision made between two snapshots
-    would be lost by a crash, so each server appends every decision
+    that makes every decision durable. Each server appends every decision
     (verdict plus, for accepts, its own truncated share) to an
     HMAC-chained append-only journal {e before} acknowledging it, and the
-    journal is truncated once a snapshot has absorbed it. Recovery is
-    snapshot + journal suffix:
+    journal is truncated once a snapshot has absorbed it. Snapshots are
+    periodic (every [checkpoint_every] decisions and at each epoch
+    rotation), so their cadence only bounds how many records a restart
+    replays. Recovery is snapshot + journal suffix:
 
     {v
     "PRDJ" ‖ version u8 ‖ server_id u32                        (header)
@@ -227,10 +228,27 @@ module Make (F : Prio_field.Field_intf.S) = struct
       Error (Io (file ^ ": " ^ Unix.error_message e))
     | exception Sys_error what -> Error (Io what)
 
+  (* Make a rename inside [dir] durable. Filesystems that cannot fsync a
+     directory (EINVAL) order metadata on their own terms. *)
+  let fsync_dir dir : (unit, error) result =
+    match Unix.openfile dir [ O_RDONLY; O_CLOEXEC ] 0 with
+    | exception Unix.Unix_error (e, _, _) ->
+      Error (Io (dir ^ ": " ^ Unix.error_message e))
+    | fd -> (
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      @@ fun () ->
+      match Unix.fsync fd with
+      | () | (exception Unix.Unix_error (EINVAL, _, _)) -> Ok ()
+      | exception Unix.Unix_error (e, _, _) ->
+        Error (Io (dir ^ ": fsync: " ^ Unix.error_message e)))
+
   (** Atomically persist [snap] as [dir]'s snapshot for its server: the
       bytes land in a temp file first and replace the previous snapshot
       only via [rename], so every crash leaves a complete snapshot (old
-      or new) on disk, never a torn one. *)
+      or new) on disk, never a torn one. The directory is fsynced after
+      the rename, so once this returns [Ok] the new snapshot survives a
+      power loss and the journal it absorbed may be truncated. *)
   let save ~key ~dir (snap : snapshot) : (unit, error) result =
     let file = path ~dir ~server_id:snap.server_id in
     let tmp = Printf.sprintf "%s.tmp.%d" file (Unix.getpid ()) in
@@ -240,7 +258,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
       e
     | Ok () -> (
       match Unix.rename tmp file with
-      | () -> Ok ()
+      | () -> fsync_dir dir
       | exception Unix.Unix_error (e, _, _) ->
         (try Unix.unlink tmp with Unix.Unix_error _ -> ());
         Error (Io (file ^ ": rename: " ^ Unix.error_message e)))

@@ -2,8 +2,9 @@
 
     The durability half of the streaming deployment: a server's entire
     resumable state is constant-size (accumulator, accepted count, epoch
-    counters, replay-table digest), so it can be checkpointed after every
-    decision and restored after a crash without replaying the stream.
+    counters, replay-table digest), so a snapshot costs the same however
+    long the stream, and a restart replays only the journal records
+    since the last one.
     Snapshots are keyed from the deployment master secret per server
     ({!derive_key}); the decoder authenticates before parsing, and
     corrupted, truncated, stale-epoch, or wrong-key snapshots come back
@@ -74,7 +75,9 @@ module Make (F : Prio_field.Field_intf.S) : sig
 
   val save : key:Bytes.t -> dir:string -> snapshot -> (unit, error) result
   (** Write atomically (temp file + [rename]): a crash mid-write leaves
-      the previous snapshot intact, never a torn file. *)
+      the previous snapshot intact, never a torn file. The directory is
+      fsynced after the rename, so on [Ok] the new snapshot is durable and
+      the journal it absorbed may be truncated. *)
 
   val load :
     ?min_epoch:int -> key:Bytes.t -> dir:string -> server_id:int -> unit ->

@@ -135,9 +135,10 @@ type tuning = {
       (** where servers persist snapshots after decisions; [None]
           disables durability (crash loses the server's state) *)
   checkpoint_every : int;
-      (** decisions between snapshots; 1 (default) loses nothing across
-          a crash, larger amortizes the write at the cost of losing the
-          tail since the last snapshot *)
+      (** decisions between snapshots (default 16). The decision journal
+          already makes every acknowledged decision survive a crash, so
+          the cadence only bounds how many journal records a restart
+          replays; a rotation always snapshots as well *)
   journal_fsync : bool;
       (** fsync each decision-journal append before acknowledging it
           (default). Turning it off trades the write-ahead durability
@@ -165,7 +166,7 @@ let default_tuning =
     epoch_max_age_s = 0.;
     clock = Prio_obs.Clock.system;
     checkpoint_dir = None;
-    checkpoint_every = 1;
+    checkpoint_every = 16;
     journal_fsync = true;
     max_resubmits = 4;
     trace_dir = None;
@@ -691,8 +692,9 @@ module Make (F : Prio_field.Field_intf.S) = struct
       With [tuning.checkpoint_dir] set, the server resumes from its
       latest valid snapshot at startup (rejecting anything corrupted,
       truncated, stale below [restore_min_epoch], or keyed to a different
-      master — those fall back to a clean epoch restart) and persists a
-      new snapshot every [checkpoint_every] decisions. *)
+      master — those fall back to a clean epoch restart), replays the
+      decision-journal suffix, and persists a new snapshot every
+      [checkpoint_every] decisions. *)
   let serve ?(tuning = default_tuning) ?faults ?(restore_min_epoch = 0) cfg
       ~id ~(listen_fd : Unix.file_descr)
       ~(follower_addrs : Unix.sockaddr array) =
@@ -761,6 +763,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
        running state — that is how a follower killed between journaling
        a decision and the next snapshot still recovers it. *)
     let journal : Ckpt.journal option ref = ref None in
+    let replayed = ref 0 in
     (match tuning.checkpoint_dir with
     | None -> ()
     | Some dir -> (
@@ -788,6 +791,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
             then begin
               if e.Ckpt.j_accepted then Server.accumulate state e.Ckpt.j_share;
               Metrics.incr m_journal_replayed;
+              incr replayed;
               (* conservatively treat replayed decisions as possibly
                  part-broadcast: a retried [V] will repair them *)
               if id = 0 then Hashtbl.replace uncommitted e.Ckpt.j_client ();
@@ -797,7 +801,10 @@ module Make (F : Prio_field.Field_intf.S) = struct
                     ("client", string_of_int e.Ckpt.j_client) ]
             end)
           entries));
-    let decisions_since_ckpt = ref 0 in
+    (* the replayed records are still in the journal: count them toward
+       the next snapshot, so the journal stays within [checkpoint_every]
+       records across restarts *)
+    let decisions_since_ckpt = ref !replayed in
     let last_ckpt_at = ref nan in
     let write_checkpoint () =
       match tuning.checkpoint_dir with
@@ -880,7 +887,9 @@ module Make (F : Prio_field.Field_intf.S) = struct
               j_client = client_id;
               j_accepted = accepted;
               j_epoch = state.Server.epoch;
-              j_share = (if accepted then share else [||]) }
+              (* replay only accumulates the truncated prefix *)
+              j_share =
+                (if accepted then Array.sub share 0 cfg.trunc_len else [||]) }
           in
           match
             Metrics.time h_journal_fsync (fun () ->
@@ -971,133 +980,173 @@ module Make (F : Prio_field.Field_intf.S) = struct
       (* a client that vanished mid-reply is cleaned up on its next read *)
     in
     let reply_error fd code detail = reply fd (error_frame code detail) in
-    (* A failure on a *cached* link may just mean the peer restarted since
-       we last spoke (stale persistent connection): drop it and retry once
-       over a fresh dial. A failure on a connection we just established is
+    (* One follower's leg of a leader round, split so the leader can write
+       to every follower before reading from any. A failure on a *cached*
+       link may just mean the peer restarted since we last spoke (stale
+       persistent connection): drop it and redo the exchange once over a
+       fresh dial. A failure on a connection we just established is
        authoritative — the follower really is down. *)
-    let ask_follower j payload =
-      let attempt () =
-        match connect_follower j with
-        | Error _ as e -> e
-        | Ok fd -> (
-          let deadline = Retry.after tuning.io_timeout in
-          match write_frame ~deadline fd payload with
-          | Error e ->
-            drop_follower j;
-            Error e
-          | Ok () -> (
-            match
-              read_frame ~deadline ~max_bytes:tuning.max_frame_bytes fd
-            with
-            | Error e ->
-              drop_follower j;
-              Error e
-            | Ok r -> Ok r))
-      in
-      let was_cached = follower_fds.(j) <> None in
-      match attempt () with
+    let write_follower j payload =
+      match connect_follower j with
+      | Error _ as e -> e
+      | Ok fd -> (
+        match
+          write_frame ~deadline:(Retry.after tuning.io_timeout) fd payload
+        with
+        | Ok () -> Ok fd
+        | Error e ->
+          drop_follower j;
+          Error e)
+    in
+    let read_follower j fd =
+      match
+        read_frame
+          ~deadline:(Retry.after tuning.io_timeout)
+          ~max_bytes:tuning.max_frame_bytes fd
+      with
       | Ok _ as r -> r
-      | Error _ when was_cached -> attempt ()
+      | Error e ->
+        drop_follower j;
+        Error e
+    in
+    (* [Ok (fd, retry)]: the request is out; [retry] says the link was
+       cached, so a failed read may still redial and resend once *)
+    let post j payload =
+      let cached = follower_fds.(j) <> None in
+      match write_follower j payload with
+      | Ok fd -> Ok (fd, cached)
+      | Error _ when cached ->
+        Result.map (fun fd -> (fd, false)) (write_follower j payload)
       | Error _ as e -> e
     in
+    let collect j payload = function
+      | Error _ as e -> e
+      | Ok (fd, retry) -> (
+        match read_follower j fd with
+        | Error _ when retry ->
+          Result.bind (write_follower j payload) (read_follower j)
+        | r -> r)
+    in
+    (* Scatter-gather one leader round: write [payload] to every follower
+       but [skip], run the leader's own step [local] while they work, then
+       read every reply in follower order — all of them, even after a
+       failure, so no link is left holding an unread reply. The followers'
+       SNIP work and journal fsyncs overlap instead of adding up. *)
+    let broadcast ?skip payload local =
+      let posted =
+        Array.init nf (fun j ->
+            if skip = Some j then None else Some (post j payload))
+      in
+      let mine = local () in
+      (mine, Array.mapi (fun j p -> Option.map (collect j payload) p) posted)
+    in
     let pair_bytes a b = Bytes.cat (F.to_bytes a) (F.to_bytes b) in
-    (* Two-phase decision broadcast: send [a]/[r] to one follower and
-       wait for its [c] commit ack, meaning the follower journaled the
-       verdict before replying. Returns [true] only on a genuine ack.
-       An [E] reply (e.g. the follower's journal is failing) keeps the
-       connection; any other reply means the streams are desynced. *)
-    let commit_follower j payload =
-      match ask_follower j payload with
-      | Error _ ->
-        Metrics.incr m_commit_failures;
-        false
-      | Ok r when Bytes.length r > 0 && Bytes.get r 0 = 'c' ->
-        Metrics.incr m_commit_acks;
-        true
-      | Ok r ->
-        if not (Bytes.length r > 0 && Bytes.get r 0 = 'E') then
-          drop_follower j;
-        Metrics.incr m_commit_failures;
-        false
+    let has_tag c r = Bytes.length r > 0 && Bytes.get r 0 = c in
+    (* Two-phase decision broadcast: send [a]/[r] to the followers and
+       wait for each [c] commit ack, meaning that follower journaled the
+       verdict before replying. [true] only when every follower sent a
+       genuine ack. An [E] reply (e.g. the follower's journal is failing)
+       keeps the connection; any other reply means the streams are
+       desynced. *)
+    let commit_all ?skip payload local =
+      let (), replies = broadcast ?skip payload local in
+      let all_acked = ref true in
+      Array.iteri
+        (fun j r ->
+          match r with
+          | None -> ()
+          | Some (Ok r) when has_tag 'c' r -> Metrics.incr m_commit_acks
+          | Some r ->
+            (match r with
+            | Ok r when not (has_tag 'E' r) -> drop_follower j
+            | Ok _ | Error _ -> ());
+            Metrics.incr m_commit_failures;
+            all_acked := false)
+        replies;
+      !all_acked
     in
     (* leader: drive the two SNIP gossip rounds for one pending client.
        Any follower failure aborts just this submission (a journaled,
-       acked [r] broadcast to the healthy followers) and reports which
-       follower, so the leader can degrade instead of dying. *)
+       acked [r] broadcast to the other followers) and reports the first
+       failed follower, so the leader can degrade instead of dying. *)
     let verify client_id (p : pending) =
       let exception Degraded of int * protocol_error in
       try
-        let my_state, my_opening = prepare_pending p in
         let expect_pair j tag = function
-          | Error err -> raise (Degraded (j, err))
+          | Error err -> Error err
           | Ok r -> (
-            if Bytes.length r = 0 then begin
+            let bad why =
               drop_follower j;
-              raise (Degraded (j, Bad_frame "empty gossip reply"))
-            end
-            else if Bytes.get r 0 <> tag then begin
-              drop_follower j;
-              raise
-                (Degraded
-                   ( j,
-                     Bad_frame
-                       (Printf.sprintf "unexpected gossip reply %C"
-                          (Bytes.get r 0)) ))
-            end
+              Error (Bad_frame why)
+            in
+            if Bytes.length r = 0 then bad "empty gossip reply"
+            else if Bytes.get r 0 <> tag then
+              bad (Printf.sprintf "unexpected gossip reply %C" (Bytes.get r 0))
             else
               match W.field_pair_opt r ~off:1 with
-              | Some pair -> pair
-              | None ->
-                drop_follower j;
-                raise (Degraded (j, Bad_frame "bad gossip payload")))
+              | Some pair -> Ok pair
+              | None -> bad "bad gossip payload")
+        in
+        (* fold every follower's pair into the leader's own; every reply
+           is checked (dropping desynced links) before the first failure
+           aborts the submission *)
+        let sum_pairs tag (a, b) replies =
+          let a = ref a and b = ref b and failed = ref None in
+          Array.iteri
+            (fun j r ->
+              match Option.map (expect_pair j tag) r with
+              | None -> ()
+              | Some (Ok (x, y)) ->
+                a := F.add !a x;
+                b := F.add !b y
+              | Some (Error err) ->
+                if Option.is_none !failed then failed := Some (j, err))
+            replies;
+          match !failed with
+          | Some (j, err) -> raise (Degraded (j, err))
+          | None -> (!a, !b)
         in
         (* gossip frames carry the leader's open verify span as context,
            so every follower's spans join the client's trace *)
-        let id_ctx () = Bytes.cat (put_u32 client_id) (ctx_bytes ()) in
-        (* round 1: collect openings *)
-        let d = ref my_opening.Snip.d and e = ref my_opening.Snip.e in
-        for j = 0 to nf - 1 do
-          let dd, ee =
-            expect_pair j 'O' (ask_follower j (tagged 'o' (id_ctx ())))
-          in
-          d := F.add !d dd;
-          e := F.add !e ee
-        done;
-        (* round 2: broadcast sums, collect verdicts *)
-        let my_verdict = Snip.server_decide_share ctx my_state ~d:!d ~e:!e in
-        let sigma = ref my_verdict.Snip.sigma
-        and zero = ref my_verdict.Snip.zero in
-        for j = 0 to nf - 1 do
-          let s, z =
-            expect_pair j 'S'
-              (ask_follower j
-                 (tagged 'd' (Bytes.cat (id_ctx ()) (pair_bytes !d !e))))
-          in
-          sigma := F.add !sigma s;
-          zero := F.add !zero z
-        done;
-        let accepted = F.is_zero !sigma && F.is_zero !zero in
-        (* Commit point: write-ahead the leader's own verdict first (a
-           journal failure here degrades durability, like a failed
-           checkpoint — the decision still stands), apply it, then run
-           the acked broadcast. The client is only acked once every
-           follower confirmed its journal write; a partial broadcast
-           surfaces as [all_acked = false] and is repaired by the
-           client's resubmission. *)
+        let id_ctx = Bytes.cat (put_u32 client_id) (ctx_bytes ()) in
+        (* round 1: followers open while the leader prepares its share *)
+        let (my_state, my_opening), replies =
+          broadcast (tagged 'o' id_ctx) (fun () -> prepare_pending p)
+        in
+        let d, e =
+          sum_pairs 'O' (my_opening.Snip.d, my_opening.Snip.e) replies
+        in
+        (* round 2: broadcast sums; followers decide alongside the leader *)
+        let my_verdict, replies =
+          broadcast
+            (tagged 'd' (Bytes.cat id_ctx (pair_bytes d e)))
+            (fun () -> Snip.server_decide_share ctx my_state ~d ~e)
+        in
+        let sigma, zero =
+          sum_pairs 'S' (my_verdict.Snip.sigma, my_verdict.Snip.zero) replies
+        in
+        let accepted = F.is_zero sigma && F.is_zero zero in
+        (* Commit point: write-ahead the leader's own verdict before any
+           [a]/[r] goes out (a journal failure here degrades durability,
+           like a failed checkpoint — the decision still stands), then run
+           the acked broadcast, applying the verdict while the followers
+           journal theirs. The client is only acked once every follower
+           confirmed its journal write; a partial broadcast surfaces as
+           [all_acked = false] and is repaired by the client's
+           resubmission. *)
         ignore (journal_decision ~client_id accepted p.share : bool);
-        if accepted then
-          Trace.with_span "server.aggregate"
-            ~attrs:[ ("server", string_of_int id) ]
+        let all_acked =
+          commit_all
+            (tagged (if accepted then 'a' else 'r') id_ctx)
             (fun () ->
-              Metrics.time h_stage_aggregate (fun () ->
-                  Server.accumulate state p.share));
-        let tag = if accepted then 'a' else 'r' in
-        let all_acked = ref true in
-        for j = 0 to nf - 1 do
-          if not (commit_follower j (tagged tag (id_ctx ()))) then
-            all_acked := false
-        done;
-        Ok (accepted, !all_acked)
+              if accepted then
+                Trace.with_span "server.aggregate"
+                  ~attrs:[ ("server", string_of_int id) ]
+                  (fun () ->
+                    Metrics.time h_stage_aggregate (fun () ->
+                        Server.accumulate state p.share)))
+        in
+        Ok (accepted, all_acked)
       with Degraded (j, err) ->
         (* The aborting [r] must follow the same write-ahead discipline
            as a commit: journal it here, and only send acked [r] frames.
@@ -1105,13 +1154,11 @@ module Make (F : Prio_field.Field_intf.S) = struct
            verdict, so a repeated abort (client retry after a degraded
            round) cannot journal a contradictory decision. *)
         ignore (journal_decision ~client_id false [||] : bool);
-        for k = 0 to nf - 1 do
-          if k <> j then
-            ignore
-              (commit_follower k
-                 (tagged 'r' (Bytes.cat (put_u32 client_id) (ctx_bytes ())))
-                : bool)
-        done;
+        ignore
+          (commit_all ~skip:j
+             (tagged 'r' (Bytes.cat (put_u32 client_id) (ctx_bytes ())))
+             ignore
+            : bool);
         Error (j, err)
     in
     let handle_frame fd frame =
@@ -1191,12 +1238,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
                  let payload =
                    Bytes.cat (put_u32 client_id) (ctx_bytes ())
                  in
-                 let all_acked = ref true in
-                 for j = 0 to nf - 1 do
-                   if not (commit_follower j (tagged tag payload)) then
-                     all_acked := false
-                 done;
-                 if !all_acked then begin
+                 if commit_all (tagged tag payload) ignore then begin
                    Hashtbl.remove uncommitted client_id;
                    Metrics.incr m_commit_repairs;
                    Trace.event "server.commit_repaired"

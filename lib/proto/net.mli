@@ -80,7 +80,10 @@ type tuning = {
           set, servers persist after decisions and
           {!Make.restart_server} resumes mid-collection *)
   checkpoint_every : int;
-      (** decisions between snapshots (default 1 = lose nothing) *)
+      (** decisions between snapshots (default 16). Every acknowledged
+          decision is already in the fsynced decision journal, so the
+          cadence loses nothing; it bounds how many journal records a
+          restart replays *)
   journal_fsync : bool;
       (** fsync every decision-journal append before acknowledging it
           (default [true]); turning it off trades the write-ahead

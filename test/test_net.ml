@@ -485,50 +485,134 @@ let test_admission_busy_shed () =
 
 (* ----------------------- checkpoint / restore ------------------------ *)
 
-let restore_values = [ 3; 7; 15; 0; 9; 4; 12; 1 ]
+let contains ~affix s =
+  let n = String.length affix and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
+  go 0
 
-(* One serial run over [restore_values]; with [crash_at = Some i] the
-   follower is SIGKILLed and restored from its snapshot just before the
-   i-th submission. Returns the decoded aggregate. *)
-let run_with_restore ~crash_at dir =
+let restore_values = [ 3; 7; 15; 0; 9; 4; 12; 1; 6; 10 ]
+
+(* A snapshot every 3 decisions: a crash before submission 7 restores
+   from the snapshot taken after decision 6 plus one journal record. *)
+let restore_every = 3
+let restore_crash = 7
+
+(* Decision-journal size in bytes (docs/PROTOCOL.md §9): a 9-byte header,
+   then per record 17 fixed bytes, the share and a 32-byte chain tag. *)
+let journal_bytes ~records ~share_len =
+  9 + (records * (17 + (share_len * F.bytes_len) + 32))
+
+let file_size path = (Unix.stat path).Unix.st_size
+
+(* One serial run over [restore_values]. With [crash] set, followers 1
+   and 2 are SIGKILLed and restarted just before submission
+   [restore_crash], so the leader's cached links to both (2 is the last
+   slot of its fan-out) are stale. That submission is driven by hand: it
+   must be accepted on its first verify, with no [E/W] and no client
+   retry. Returns the decoded aggregate, follower 1's journal size, and
+   follower 1's scraped metrics. *)
+let run_with_restore ~crash dir =
   let afe = Sum.sum ~bits:4 in
-  let tuning = NetT.{ fast_tuning with checkpoint_dir = Some dir } in
+  let tuning =
+    NetT.
+      { fast_tuning with checkpoint_dir = Some dir;
+        checkpoint_every = restore_every }
+  in
   with_deployment ~tuning afe (fun d ->
+      let kill_and_restart i =
+        Unix.kill d.Net.pids.(i) Sys.sigkill;
+        let rec wait_dead n =
+          match (Net.poll_servers d).(i) with
+          | Net.Exited _ -> ()
+          | Net.Running ->
+            if n = 0 then Alcotest.fail "follower ignored SIGKILL";
+            Unix.sleepf 0.01;
+            wait_dead (n - 1)
+        in
+        wait_dead 200;
+        Net.restart_server d i
+      in
+      let exchange addr frame =
+        let fd = ok_exn (NetT.dial addr) in
+        ignore (NetT.write_frame fd frame);
+        let r = ok_exn (NetT.read_frame ~deadline:(Retry.after 5.0) fd) in
+        Unix.close fd;
+        r
+      in
       List.iteri
         (fun i x ->
-          if crash_at = Some i then begin
-            Unix.kill d.Net.pids.(1) Sys.sigkill;
-            let rec wait_dead n =
-              match (Net.poll_servers d).(1) with
-              | Net.Exited _ -> ()
-              | Net.Running ->
-                if n = 0 then Alcotest.fail "follower ignored SIGKILL";
-                Unix.sleepf 0.01;
-                wait_dead (n - 1)
+          if crash && i = restore_crash then begin
+            kill_and_restart 1;
+            kill_and_restart 2;
+            let pk =
+              Cl.submit ~rng
+                ~mode:(Cl.Robust_snip afe.A.circuit)
+                ~num_servers:3 ~client_id:i ~master:d.Net.cfg.Net.master
+                (afe.A.encode ~rng x)
             in
-            wait_dead 200;
-            Net.restart_server d 1
-          end;
-          Alcotest.(check bool)
-            (Printf.sprintf "accepted %d" i)
-            true
-            (Net.submit d ~rng ~client_id:i (afe.A.encode ~rng x)))
+            List.iter
+              (fun srv ->
+                Alcotest.(check char) "P acked" 'K'
+                  (Bytes.get
+                     (exchange d.Net.addrs.(srv)
+                        (NetT.tagged 'P'
+                           (Bytes.cat (NetT.put_u32 i)
+                              (Bytes.cat (NetT.ctx_bytes ()) pk.Cl.sealed.(srv)))))
+                     0))
+              [ 1; 2; 0 ];
+            let reply =
+              exchange d.Net.addrs.(0) (NetT.tagged 'V' (NetT.put_u32 i))
+            in
+            match NetT.parse_error_frame reply with
+            | Some (c, detail) ->
+              Alcotest.failf "first verify after restarts: E/%s %s"
+                (NetT.string_of_error_code c) detail
+            | None ->
+              Alcotest.(check char) "accepted on the first verify" 'K'
+                (Bytes.get reply 0)
+          end
+          else
+            Alcotest.(check bool)
+              (Printf.sprintf "accepted %d" i)
+              true
+              (Net.submit d ~rng ~client_id:i (afe.A.encode ~rng x)))
         restore_values;
-      afe.A.decode ~n:(List.length restore_values) (collect_exn d))
+      let journal =
+        file_size (Prio_proto.Checkpoint.journal_path ~dir ~server_id:1)
+      in
+      let metrics = ok_exn (NetT.scrape_metrics ~tuning d.Net.addrs.(1)) in
+      ( afe.A.decode ~n:(List.length restore_values) (collect_exn d),
+        journal,
+        metrics ))
 
 let test_restore_equals_uninterrupted () =
   let expected = string_of_int (List.fold_left ( + ) 0 restore_values) in
+  (* the journal holds only the decisions since the last snapshot, each
+     with the truncated share alone *)
+  let journal_expected =
+    journal_bytes
+      ~records:(List.length restore_values mod restore_every)
+      ~share_len:(Sum.sum ~bits:4).A.trunc_len
+  in
   with_temp_dir "baseline" @@ fun dir_a ->
   with_temp_dir "crashed" @@ fun dir_b ->
-  let a = run_with_restore ~crash_at:None dir_a in
+  let a, journal_a, _ = run_with_restore ~crash:false dir_a in
   Alcotest.(check string) "uninterrupted total" expected
     (Prio_bigint.Bigint.to_string a);
-  (* same submissions, but the follower dies after 4 decisions and
-     resumes from its snapshot: nothing accepted before the crash may be
-     lost, nothing may be double-counted *)
-  let b = run_with_restore ~crash_at:(Some 4) dir_b in
+  Alcotest.(check int) "journal = header + truncated-share records"
+    journal_expected journal_a;
+  (* same submissions, but the followers die after 7 decisions and
+     resume from a snapshot plus a journal suffix: nothing accepted
+     before the crash may be lost, nothing may be double-counted *)
+  let b, journal_b, metrics_b = run_with_restore ~crash:true dir_b in
   Alcotest.(check string) "crash+restore equals uninterrupted" expected
-    (Prio_bigint.Bigint.to_string b)
+    (Prio_bigint.Bigint.to_string b);
+  Alcotest.(check bool) "restore replayed one journal record" true
+    (contains ~affix:"prio_journal_replayed_total 1\n" metrics_b);
+  (* the replayed record counts toward the next snapshot, so the
+     journal is as short as in the uninterrupted run *)
+  Alcotest.(check int) "replay bound kept across the restart"
+    journal_expected journal_b
 
 let test_restore_chaos_drill () =
   (* seeded crash policy on a follower with checkpointing on: every time
@@ -587,11 +671,6 @@ let test_restore_chaos_drill () =
       Alcotest.(check string) "aggregate = accepted sum across restores"
         (string_of_int !total)
         (Prio_bigint.Bigint.to_string sigma))
-
-let contains ~affix s =
-  let n = String.length affix and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
-  go 0
 
 let test_commit_window_chaos_drill () =
   (* The decision-broadcast durability hole, aimed at exactly: a follower
