@@ -606,14 +606,19 @@ let is_probable_prime ?(rounds = 40) n =
 (* Montgomery arithmetic.                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Elements are n-limb little-endian arrays in Montgomery form, and every
+   operation returns a canonical residue (< m): each ends with one
+   conditional subtraction. [equal] compares limbs and relies on that. *)
 module Mont = struct
   type ctx = {
     m : int array; (* modulus limbs, length n *)
     n : int;
+    bits : int; (* bit length of m *)
     m' : int; (* -m^{-1} mod 2^31 *)
     r2 : int array; (* R^2 mod m, R = 2^(31 n) *)
     modulus : t;
     one_m : int array; (* R mod m *)
+    unit_limbs : int array; (* plain 1; multiplying by it leaves Montgomery form *)
   }
 
   type elt = int array (* length ctx.n, Montgomery form *)
@@ -637,8 +642,12 @@ module Mont = struct
       r
     end
 
+  (* r < m, comparing limbs i, i-1, ..., 0 *)
+  let rec below (m : int array) (r : int array) i =
+    i >= 0 && if r.(i) <> m.(i) then r.(i) < m.(i) else below m r (i - 1)
+
   (* CIOS Montgomery multiplication: returns (a * b * R^-1) mod m *)
-  let mont_mul ctx a b =
+  let mul_generic ctx a b =
     let n = ctx.n and m = ctx.m and m' = ctx.m' in
     let t = Array.make (n + 2) 0 in
     for i = 0 to n - 1 do
@@ -667,14 +676,7 @@ module Mont = struct
     done;
     let r = Array.sub t 0 n in
     (* result < 2m; one conditional subtraction *)
-    let ge =
-      if t.(n) > 0 then true
-      else begin
-        let rec cmp i = if i < 0 then true else if r.(i) <> m.(i) then r.(i) > m.(i) else cmp (i - 1) in
-        cmp (n - 1)
-      end
-    in
-    if ge then begin
+    if t.(n) > 0 || not (below m r (n - 1)) then begin
       let borrow = ref 0 in
       for i = 0 to n - 1 do
         let d = r.(i) - m.(i) - !borrow in
@@ -690,6 +692,46 @@ module Mont = struct
     end;
     r
 
+  (* [mul_generic] for n = 3 (F87) with both inner loops unrolled: the
+     accumulator t0..t3 stays in locals and the only allocation is the
+     result. Same steps, so the same canonical result. *)
+  let mul3 ctx a b =
+    let m = ctx.m and m' = ctx.m' in
+    let m0 = m.(0) and m1 = m.(1) and m2 = m.(2) in
+    let b0 = b.(0) and b1 = b.(1) and b2 = b.(2) in
+    let t0 = ref 0 and t1 = ref 0 and t2 = ref 0 and t3 = ref 0 in
+    for i = 0 to 2 do
+      let ai = a.(i) in
+      let s = !t0 + (ai * b0) in
+      let x0 = s land mask in
+      let s = !t1 + (ai * b1) + (s lsr limb_bits) in
+      let x1 = s land mask in
+      let s = !t2 + (ai * b2) + (s lsr limb_bits) in
+      let x2 = s land mask in
+      let s = !t3 + (s lsr limb_bits) in
+      let x3 = s land mask and x4 = s lsr limb_bits in
+      let u = (x0 * m') land mask in
+      let s = x0 + (u * m0) in
+      let s = x1 + (u * m1) + (s lsr limb_bits) in
+      t0 := s land mask;
+      let s = x2 + (u * m2) + (s lsr limb_bits) in
+      t1 := s land mask;
+      let s = x3 + (s lsr limb_bits) in
+      t2 := s land mask;
+      t3 := x4 + (s lsr limb_bits)
+    done;
+    let r0 = !t0 and r1 = !t1 and r2 = !t2 in
+    if !t3 > 0 || r2 > m2 || (r2 = m2 && (r1 > m1 || (r1 = m1 && r0 >= m0))) then begin
+      (* a negative difference's [asr] is -1: the borrow into the next limb *)
+      let d0 = r0 - m0 in
+      let d1 = r1 - m1 + (d0 asr limb_bits) in
+      let d2 = r2 - m2 + (d1 asr limb_bits) in
+      [| d0 land mask; d1 land mask; d2 land mask |]
+    end
+    else [| r0; r1; r2 |]
+
+  let mont_mul ctx a b = if ctx.n = 3 then mul3 ctx a b else mul_generic ctx a b
+
   let create modulus =
     if modulus.sign <= 0 || is_even modulus || compare modulus (of_int 3) < 0 then
       invalid_arg "Bigint.Mont.create: modulus must be odd and >= 3";
@@ -698,17 +740,73 @@ module Mont = struct
     let m' = (base - inv_limb mlimbs.(0)) land mask in
     let r2_big = erem (shift_left one (2 * n * limb_bits)) modulus in
     let r2 = pad r2_big.mag n in
-    let ctx0 = { m = mlimbs; n; m'; r2; modulus; one_m = [||] } in
-    let one_m = mont_mul ctx0 r2 (pad [| 1 |] n) in
-    { ctx0 with one_m }
+    let unit_limbs = pad [| 1 |] n in
+    let ctx0 =
+      { m = mlimbs; n; bits = num_bits modulus; m'; r2; modulus; one_m = [||]; unit_limbs }
+    in
+    { ctx0 with one_m = mont_mul ctx0 r2 unit_limbs }
 
   let to_mont ctx x =
     let x = erem x ctx.modulus in
     mont_mul ctx (pad x.mag ctx.n) ctx.r2
 
-  let of_mont ctx e =
-    let raw = mont_mul ctx e (pad [| 1 |] ctx.n) in
-    make 1 raw
+  let of_mont ctx e = make 1 (mont_mul ctx e ctx.unit_limbs)
+
+  (* Limbs are drawn and masked exactly as [random_bits] does for
+     [random_below], and rejected on the same test, so both consume the
+     same [rand_limb] stream and accept the same value. *)
+  let random ctx ~rand_limb =
+    let n = ctx.n in
+    let top = (1 lsl (ctx.bits - ((n - 1) * limb_bits))) - 1 in
+    let r = Array.make n 0 in
+    let accepted = ref false in
+    while not !accepted do
+      for i = 0 to n - 1 do
+        r.(i) <- rand_limb () land mask
+      done;
+      r.(n - 1) <- r.(n - 1) land top;
+      accepted := below ctx.m r (n - 1)
+    done;
+    mont_mul ctx r ctx.r2
+
+  (* Bytes are shifted into [acc] from the least significant end; every
+     31 bits make a limb. Bits that land past limb n - 1 go to [spill]. *)
+  let of_bytes_be ctx b =
+    let n = ctx.n in
+    let x = Array.make n 0 in
+    let acc = ref 0 and nb = ref 0 and k = ref 0 and spill = ref 0 in
+    for i = Bytes.length b - 1 downto 0 do
+      acc := !acc lor (Char.code (Bytes.get b i) lsl !nb);
+      nb := !nb + 8;
+      if !nb >= limb_bits then begin
+        if !k < n then x.(!k) <- !acc land mask else spill := !spill lor (!acc land mask);
+        acc := !acc lsr limb_bits;
+        nb := !nb - limb_bits;
+        incr k
+      end
+    done;
+    if !k < n then x.(!k) <- !acc else spill := !spill lor !acc;
+    if !spill = 0 && below ctx.m x (n - 1) then Some (mont_mul ctx x ctx.r2) else None
+
+  (* The reverse: limbs are shifted into [acc] whenever it holds fewer
+     than 8 bits, and bytes leave it from the least significant end. *)
+  let to_bytes_be ctx e width =
+    if width * 8 < ctx.bits then invalid_arg "Bigint.Mont.to_bytes_be: width too small";
+    let x = mont_mul ctx e ctx.unit_limbs in
+    let n = ctx.n in
+    let out = Bytes.create width in
+    let acc = ref 0 and nb = ref 0 and k = ref 0 in
+    for i = width - 1 downto 0 do
+      if !nb < 8 && !k < n then begin
+        acc := !acc lor (x.(!k) lsl !nb);
+        nb := !nb + limb_bits;
+        incr k
+      end;
+      Bytes.set out i (Char.chr (!acc land 0xff));
+      acc := !acc lsr 8;
+      nb := !nb - 8
+    done;
+    out
 
   let zero ctx = Array.make ctx.n 0
   let one ctx = Array.copy ctx.one_m
@@ -722,14 +820,7 @@ module Mont = struct
       r.(i) <- s land mask;
       carry := s lsr limb_bits
     done;
-    let ge =
-      if !carry > 0 then true
-      else begin
-        let rec cmp i = if i < 0 then true else if r.(i) <> m.(i) then r.(i) > m.(i) else cmp (i - 1) in
-        cmp (n - 1)
-      end
-    in
-    if ge then begin
+    if !carry > 0 || not (below m r (n - 1)) then begin
       let borrow = ref 0 in
       for i = 0 to n - 1 do
         let d = r.(i) - m.(i) - !borrow in

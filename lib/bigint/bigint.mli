@@ -143,9 +143,29 @@ module Mont : sig
   val sub : ctx -> elt -> elt -> elt
   val neg : ctx -> elt -> elt
   val mul : ctx -> elt -> elt -> elt
+  (** Uses an unrolled kernel when the modulus has 3 limbs, else
+      {!mul_generic}; both give the same canonical result. *)
+
+  val mul_generic : ctx -> elt -> elt -> elt
+  (** The n-limb CIOS loop: the only path for other limb counts, and the
+      reference the 3-limb kernel is tested against. *)
+
   val sqr : ctx -> elt -> elt
   val pow : ctx -> elt -> t -> elt
   (** Exponent [>= 0] as a plain integer. *)
+
+  val random : ctx -> rand_limb:(unit -> int) -> elt
+  (** Uniform residue. Makes the same [rand_limb] calls and the same
+      rejections as [random_below ~rand_limb (modulus ctx)], so the two
+      consume a stream alike and return the same value. *)
+
+  val of_bytes_be : ctx -> Bytes.t -> elt option
+  (** Big-endian bytes of any width; [None] if the value is [>= m]. *)
+
+  val to_bytes_be : ctx -> elt -> int -> Bytes.t
+  (** The canonical residue as [width] big-endian bytes, as
+      {!Bigint.to_bytes_be} writes it.
+      @raise Invalid_argument if [width] bytes cannot hold every residue. *)
 
   val equal : elt -> elt -> bool
   val is_zero : ctx -> elt -> bool

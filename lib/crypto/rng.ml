@@ -76,9 +76,21 @@ let bytes t n =
   done;
   out
 
+(* One word read when 4 bytes remain in the block; across a block
+   boundary, four [byte]s. Either way the same little-endian value. *)
 let uint32 t =
-  let a = byte t and b = byte t and c = byte t and d = byte t in
-  a lor (b lsl 8) lor (c lsl 16) lor (d lsl 24)
+  let pos = t.pos in
+  if pos + 4 <= Bytes.length t.block then begin
+    t.pos <- pos + 4;
+    Int32.to_int (Bytes.get_int32_le t.block pos) land 0xFFFFFFFF
+  end
+  else begin
+    let a = byte t in
+    let b = byte t in
+    let c = byte t in
+    let d = byte t in
+    a lor (b lsl 8) lor (c lsl 16) lor (d lsl 24)
+  end
 
 let limb31 t = uint32 t land 0x7FFFFFFF
 

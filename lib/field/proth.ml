@@ -51,23 +51,20 @@ module Make (C : Config) : Field_intf.S = struct
   let equal = B.Mont.equal
   let is_one x = equal x one
 
-  let random rng =
-    of_bigint (B.random_below ~rand_limb:(fun () -> Prio_crypto.Rng.limb31 rng) order)
+  let random rng = B.Mont.random ctx ~rand_limb:(fun () -> Prio_crypto.Rng.limb31 rng)
 
   let rec random_nonzero rng =
     let x = random rng in
     if is_zero x then random_nonzero rng else x
 
-  let to_bytes x = B.to_bytes_be (to_bigint x) bytes_len
+  let to_bytes x = B.Mont.to_bytes_be ctx x bytes_len
 
   let of_bytes b =
     if not (Int.equal (Bytes.length b) bytes_len) then
       invalid_arg (name ^ ".of_bytes: wrong width");
-    let v = B.of_bytes_be b in
-    (* canonicality check on public wire bytes, not secret data *)
-    (* prio-lint: allow ct-compare *)
-    if B.compare v order >= 0 then invalid_arg (name ^ ".of_bytes: not canonical");
-    of_bigint v
+    match B.Mont.of_bytes_be ctx b with
+    | Some x -> x
+    | None -> invalid_arg (name ^ ".of_bytes: not canonical")
 
   let to_string x = B.to_string (to_bigint x)
   let pp fmt x = Format.pp_print_string fmt (to_string x)

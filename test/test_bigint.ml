@@ -172,6 +172,89 @@ let test_montgomery () =
     (Invalid_argument "Bigint.Mont.create: modulus must be odd and >= 3")
     (fun () -> ignore (B.Mont.create (B.of_int 10)))
 
+(* The word-level Montgomery paths against the generic ones: the
+   unrolled 3-limb multiply against [mul_generic], and the limb sampler
+   and codec against [random_below] and [to_bytes_be]/[of_bytes_be], over
+   3-limb moduli with extreme limbs and random ones of other widths. *)
+let test_montgomery_kernels () =
+  let state = ref 0x2545F4914F6CDD1D in
+  let rand_limb () =
+    (* xorshift; the top 31 of 62 bits *)
+    let x = !state in
+    let x = x lxor ((x lsl 13) land 0x3FFFFFFFFFFFFFFF) in
+    let x = x lxor (x lsr 7) in
+    let x = x lxor ((x lsl 17) land 0x3FFFFFFFFFFFFFFF) in
+    state := x;
+    (x lsr 31) land 0x7FFFFFFF
+  in
+  let fixed =
+    List.map B.of_string
+      [
+        "0x1fffffffffffffffffffffff" (* 2^93 - 1: every limb full *);
+        "0x40000000000000001" (* 2^66 + 1 *);
+        "0x4000000000000001" (* 2^62 + 1: smallest 3-limb modulus *);
+        "0x7c80000000000000000001" (* F87 *);
+        "0x1fffffffc00000007fffffff" (* full outer limbs, middle 0 *);
+      ]
+  in
+  (* twelve 3-limb moduli (63..93 bits), twelve of other widths *)
+  let random_moduli =
+    List.init 24 (fun i ->
+        let bits = if i < 12 then 63 + (i * 30 / 11) else 40 + ((i - 12) * 22) in
+        let m = B.add (B.shift_left B.one (bits - 1)) (B.random_bits ~rand_limb (bits - 1)) in
+        if B.is_even m then B.succ m else m)
+  in
+  List.iter
+    (fun m ->
+      let ctx = B.Mont.create m in
+      let vals =
+        [ B.zero; B.one; B.sub m B.two; B.pred m ]
+        @ List.init 40 (fun _ -> B.random_below ~rand_limb m)
+      in
+      let elts = List.map (B.Mont.to_mont ctx) vals in
+      List.iter2
+        (fun x xm ->
+          List.iter2
+            (fun y ym ->
+              let got = B.Mont.mul ctx xm ym in
+              Alcotest.(check bool) "mul = mul_generic" true
+                (B.Mont.equal got (B.Mont.mul_generic ctx xm ym));
+              Alcotest.(check string) "mul = erem" (B.to_string (B.erem (B.mul x y) m))
+                (B.to_string (B.Mont.of_mont ctx got)))
+            vals elts)
+        vals elts;
+      let width = (B.num_bits m + 7) / 8 in
+      List.iter2
+        (fun x xm ->
+          Alcotest.(check bytes) "to_bytes_be" (B.to_bytes_be x width)
+            (B.Mont.to_bytes_be ctx xm width);
+          List.iter
+            (fun w ->
+              match B.Mont.of_bytes_be ctx (B.to_bytes_be x w) with
+              | Some e -> Alcotest.(check bool) "of_bytes_be" true (B.Mont.equal e xm)
+              | None -> Alcotest.fail "of_bytes_be rejected a residue")
+            [ width; width + 5 ])
+        vals elts;
+      List.iter
+        (fun v ->
+          Alcotest.(check bool) "of_bytes_be rejects >= m" true
+            (Option.is_none (B.Mont.of_bytes_be ctx (B.to_bytes_be v (width + 5)))))
+        [ m; B.succ m; B.shift_left B.one (width * 8); B.shift_left B.one ((width + 5) * 8 - 1) ];
+      Alcotest.check_raises "to_bytes_be too narrow"
+        (Invalid_argument "Bigint.Mont.to_bytes_be: width too small") (fun () ->
+          ignore (B.Mont.to_bytes_be ctx (B.Mont.one ctx) (width - 1)));
+      let saved = !state in
+      let drawn = List.init 20 (fun _ -> B.Mont.random ctx ~rand_limb) in
+      let after = !state in
+      state := saved;
+      List.iter
+        (fun e ->
+          Alcotest.(check bool) "random = random_below" true
+            (B.Mont.equal e (B.Mont.to_mont ctx (B.random_below ~rand_limb m))))
+        drawn;
+      Alcotest.(check int) "same limbs consumed" after !state)
+    (fixed @ random_moduli)
+
 (* Knuth algorithm D's rare "add back" branch fires when the trial digit
    overestimates by one; max-limb patterns are the classic trigger. *)
 let test_divmod_add_back_patterns () =
@@ -277,6 +360,7 @@ let () =
           Alcotest.test_case "bytes" `Quick test_bytes;
           Alcotest.test_case "random" `Quick test_random;
           Alcotest.test_case "montgomery" `Quick test_montgomery;
+          Alcotest.test_case "montgomery kernels" `Quick test_montgomery_kernels;
         ] );
       ("properties", props);
     ]

@@ -205,6 +205,26 @@ let test_rng_seed_normalization () =
   let b = Rng.of_seed (Bytes.of_string "short") in
   Alcotest.(check bytes) "hashed seeds agree" (Rng.bytes a 8) (Rng.bytes b 8)
 
+(* [uint32] reads a whole word while 4 bytes remain in the block and
+   falls back to bytes across the boundary; after k single bytes, both
+   paths must give bytes k..k+3 of the keystream, little-endian. *)
+let test_rng_word_boundary () =
+  let seed = Bytes.init 32 (fun i -> Char.chr (i * 7)) in
+  let nonce = Bytes.make 12 '\000' in
+  let stream =
+    Bytes.cat (Chacha20.block ~key:seed ~counter:0 ~nonce)
+      (Chacha20.block ~key:seed ~counter:1 ~nonce)
+  in
+  for k = 0 to 67 do
+    let rng = Rng.of_seed seed in
+    for _ = 1 to k do
+      ignore (Rng.byte rng)
+    done;
+    let expect = Int32.to_int (Bytes.get_int32_le stream k) land 0xFFFFFFFF in
+    Alcotest.(check int) (Printf.sprintf "uint32 after %d bytes" k) expect (Rng.uint32 rng);
+    Alcotest.(check int) "next byte" (Char.code (Bytes.get stream (k + 4))) (Rng.byte rng)
+  done
+
 (* ------------------------------ Authbox ---------------------------- *)
 
 let test_authbox_roundtrip () =
@@ -266,6 +286,7 @@ let () =
           Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
           Alcotest.test_case "split" `Quick test_rng_split;
           Alcotest.test_case "seed normalization" `Quick test_rng_seed_normalization;
+          Alcotest.test_case "word reads across blocks" `Quick test_rng_word_boundary;
         ] );
       ( "authbox",
         [

@@ -100,11 +100,39 @@ module Axioms (F : Field_intf.S) = struct
               ignore (F.inv F.zero)));
       Alcotest.test_case (F.name ^ ": non-canonical bytes rejected") `Quick
         (fun () ->
-          let b = B.to_bytes_be F.order F.bytes_len in
-          Alcotest.(check bool) "raises" true
-            (match F.of_bytes b with
+          let raises b =
+            match F.of_bytes b with
             | exception Invalid_argument _ -> true
-            | _ -> false));
+            | _ -> false
+          in
+          let enc v = B.to_bytes_be v F.bytes_len in
+          let accepted label v =
+            let x = F.of_bytes (enc v) in
+            Alcotest.(check string) (label ^ " value") (B.to_string v)
+              (B.to_string (F.to_bigint x));
+            Alcotest.(check bytes) (label ^ " roundtrip") (enc v) (F.to_bytes x)
+          in
+          Alcotest.(check bool) "raises" true (raises (enc F.order));
+          Alcotest.(check bool) "p+1 raises" true (raises (enc (B.succ F.order)));
+          Alcotest.(check bool) "all-0xff raises" true
+            (raises (Bytes.make F.bytes_len '\xff'));
+          List.iter
+            (fun w ->
+              Alcotest.(check bool)
+                (Printf.sprintf "width %d raises" w)
+                true
+                (raises (Bytes.make w '\000')))
+            [ 0; F.bytes_len - 1; F.bytes_len + 1 ];
+          accepted "p-1" (B.pred F.order);
+          (* one bit set on each side of every 31-bit limb boundary below
+             p: catches shift and spill mistakes in a limb packer *)
+          let rec boundaries k =
+            let bits = List.filter (fun b -> b < F.num_bits) [ k - 1; k ] in
+            if bits = [] then [] else bits @ boundaries (k + 31)
+          in
+          List.iter
+            (fun bit -> accepted (Printf.sprintf "bit %d" bit) (B.shift_left B.one bit))
+            (boundaries 31));
       Alcotest.test_case (F.name ^ ": random nonzero") `Quick (fun () ->
           for _ = 1 to 50 do
             Alcotest.(check bool) "nonzero" false
@@ -162,6 +190,41 @@ let test_babybear_crosscheck () =
     Alcotest.(check int) "sub" (B.to_int_exn (B.erem (B.sub ab bb) p)) (Babybear.sub a b)
   done
 
+(* The word-level Montgomery kernels (unrolled 3-limb multiply, limb
+   sampler and codec) vs the bignum reference, on random values and on
+   the edge residues 0, 1, p-2 and p-1. *)
+let test_proth_crosscheck (module F : Field_intf.S) () =
+  let rng = Rng.of_string_seed ("proth-bignum-" ^ F.name) in
+  let p = F.order in
+  let edges = List.map F.of_bigint [ B.zero; B.one; B.sub p B.two; B.pred p ] in
+  let randoms = List.init 200 (fun _ -> F.random rng) in
+  let check name expect got =
+    Alcotest.(check string) name (B.to_string expect) (B.to_string (F.to_bigint got))
+  in
+  let pair a b =
+    let ab = F.to_bigint a and bb = F.to_bigint b in
+    check "mul" (B.erem (B.mul ab bb) p) (F.mul a b);
+    check "add" (B.erem (B.add ab bb) p) (F.add a b);
+    check "sub" (B.erem (B.sub ab bb) p) (F.sub a b)
+  in
+  List.iter (fun a -> List.iter (pair a) (edges @ List.filteri (fun i _ -> i < 10) randoms)) edges;
+  List.iteri (fun i a -> pair a (List.nth randoms ((i + 1) mod 200))) randoms;
+  List.iter
+    (fun x ->
+      Alcotest.(check bytes) "to_bytes" (B.to_bytes_be (F.to_bigint x) F.bytes_len)
+        (F.to_bytes x))
+    (edges @ randoms);
+  (* the sampler draws exactly what the bignum rejection sampler draws,
+     so client and server seed expansion cannot drift apart *)
+  let seed = Rng.fresh_seed rng in
+  let r = Rng.of_seed seed and r' = Rng.of_seed seed in
+  for _ = 1 to 200 do
+    let x = F.random r in
+    let y = F.of_bigint (B.random_below ~rand_limb:(fun () -> Rng.limb31 r') p) in
+    Alcotest.(check bool) "random" true (F.equal x y)
+  done;
+  Alcotest.(check int) "same stream position" (Rng.byte r') (Rng.byte r)
+
 (* The two-adicity root of the 87-bit field must be exactly the paper-scale
    capacity we rely on: SNIPs for circuits up to 2^78 mul gates. *)
 let test_field_parameters () =
@@ -186,6 +249,10 @@ let () =
         [
           Alcotest.test_case "babybear vs bignum" `Quick test_babybear_crosscheck;
           Alcotest.test_case "proth functor vs native" `Quick test_proth_vs_native;
+          Alcotest.test_case "f87 vs bignum" `Quick
+            (test_proth_crosscheck (module F87));
+          Alcotest.test_case "f265 vs bignum" `Quick
+            (test_proth_crosscheck (module F265));
           Alcotest.test_case "field parameters" `Quick test_field_parameters;
         ] );
     ]
