@@ -431,6 +431,14 @@ let parse_error_frame frame =
 
 (* -------------------------- fault-aware I/O ---------------------------- *)
 
+(* An injected disconnect severs the connection — the peer reads EOF —
+   but leaves the descriptor open for its owner to close exactly once:
+   closing it here as well would let a dial in between reuse the number,
+   and the owner's own close would then kill that live link. *)
+let disconnect fd =
+  (try Unix.shutdown fd SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+  Error (Closed "fault injection: disconnect")
+
 (** Frame write through an optional fault injector. [Drop] pretends the
     frame went out; [Crash] terminates the calling process (that is what
     the policy means — use it only for server chaos). *)
@@ -441,9 +449,7 @@ let send_frame ?faults ?deadline fd payload =
     match Faults.decide f payload with
     | Faults.Deliver p -> write_frame ?deadline fd p
     | Faults.Drop -> Ok ()
-    | Faults.Disconnect ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Error (Closed "fault injection: disconnect")
+    | Faults.Disconnect -> disconnect fd
     | Faults.Crash -> exit 70)
 
 (** Frame read through an optional fault injector; a dropped reply
@@ -460,9 +466,7 @@ let recv_frame ?faults ?deadline ?max_bytes fd =
         Error (Bad_frame "fault injection: truncated to empty")
       | Faults.Deliver p -> Ok p
       | Faults.Drop -> Error (Timeout "fault injection: reply dropped")
-      | Faults.Disconnect ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        Error (Closed "fault injection: disconnect")
+      | Faults.Disconnect -> disconnect fd
       | Faults.Crash -> exit 70))
 
 (* -------------------------------- dial --------------------------------- *)
@@ -1762,83 +1766,182 @@ module Make (F : Prio_field.Field_intf.S) = struct
           `Done (`Nack (string_of_error_code c ^ ": " ^ detail)))
       | _ -> `Retry (Bad_frame "unparseable reply")
 
-  (** One request/reply exchange with backoff: fresh connection per
-      attempt (a dead port fails fast and is retried on the backoff
-      schedule, not spun on). *)
-  let rpc ?faults ~tuning ~rng addr payload =
-    Trace.with_span "net.rpc" @@ fun () ->
-    Metrics.time h_rpc @@ fun () ->
-    Retry.with_backoff ~rng tuning.backoff (fun ~attempt:_ ->
-        match
-          dial ~retry_refused:false
-            ~deadline:(Retry.after tuning.dial_timeout)
-            addr
-        with
-        | Error e -> `Retry e
-        | Ok fd ->
-          Fun.protect
-            ~finally:(fun () ->
-              try Unix.close fd with Unix.Unix_error _ -> ())
-            (fun () ->
-              let deadline = Retry.after tuning.io_timeout in
-              match send_frame ?faults ~deadline fd payload with
-              | Error e -> `Retry e
-              | Ok () -> (
-                match
-                  recv_frame ?faults ~deadline
-                    ~max_bytes:tuning.max_frame_bytes fd
-                with
-                | Error e -> `Retry e
-                | Ok reply -> classify_ack reply)))
+  (** A client's persistent connections to every server, the one client
+      RPC path: every submission runs over a session (a one-shot
+      submission over a throwaway one). A streaming client at 100k+
+      submissions would otherwise pay the handshake on every hot-path
+      RPC and strand every closed connection in TIME_WAIT until
+      loopback's ephemeral ports run out. A session dials each server
+      once and reuses the connection for the whole stream; any transport
+      error drops the cached connection so the backoff retry dials fresh
+      (that heals restarted servers, whose old connections are dead).
+      Not domain-safe: one session per submitting thread. *)
+  type session = {
+    sdep : deployment;
+    sfds : Unix.file_descr option array;  (** cached connection per server *)
+  }
 
-  (* Shared submission driver: upload to every server through [rpc_to]
-     (followers first, so their shares are in place; leader last), then
-     trigger the leader's verify round. A [Commit_pending] verify reply
-     means the leader journaled the verdict but a follower never acked
-     it: re-push every packet (re-seeding the shares a restarted
-     follower lost) and retry the verify so the leader can repair the
-     broadcast — up to [max_resubmits] rounds. *)
-  let drive_submission ?(max_resubmits = default_tuning.max_resubmits)
-      ~num_servers ~client_id rpc_to (pk : Client.packets) : outcome =
-    if Array.length pk.Client.sealed <> num_servers then
-      invalid_arg "Net.submit_packets: one packet per server required";
-    Trace.with_span "net.submit" ~attrs:[ ("client", string_of_int client_id) ]
-    @@ fun () ->
-    let order = List.init (num_servers - 1) (fun i -> i + 1) @ [ 0 ] in
-    let upload i =
-      Trace.with_span "net.upload" ~attrs:[ ("server", string_of_int i) ]
-      @@ fun () ->
-      (* ctx computed inside the span: the server's admit span becomes a
-         child of this upload in the merged cross-process trace *)
-      rpc_to i
-        (tagged 'P'
-           (Bytes.cat (put_u32 client_id)
-              (Bytes.cat (ctx_bytes ()) pk.Client.sealed.(i))))
+  let open_session d =
+    ignore_sigpipe ();
+    { sdep = d; sfds = Array.make (Array.length d.addrs) None }
+
+  (* close and forget server [i]'s link: the session owns every link,
+     and this is the one place it is closed *)
+  let drop (s : session) i =
+    match s.sfds.(i) with
+    | Some fd ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      s.sfds.(i) <- None
+    | None -> ()
+
+  let close_session s = Array.iteri (fun i _ -> drop s i) s.sfds
+
+  (* Write one request on the session's link to server [i], dialing when
+     there is none — without retrying a refused port, so the backoff
+     schedule, not a dial loop, paces a dead server. [Ok (fd, deadline)]:
+     the request is out and its reply is due by [deadline]. *)
+  let post ?faults (s : session) i payload =
+    let tuning = s.sdep.tuning in
+    let link =
+      match s.sfds.(i) with
+      | Some fd -> Ok fd
+      | None ->
+        Result.map
+          (fun fd ->
+            s.sfds.(i) <- Some fd;
+            fd)
+          (dial ~retry_refused:false
+             ~deadline:(Retry.after tuning.dial_timeout)
+             s.sdep.addrs.(i))
     in
-    let rec push = function
+    match link with
+    | Error _ as e -> e
+    | Ok fd -> (
+      let deadline = Retry.after tuning.io_timeout in
+      match send_frame ?faults ~deadline fd payload with
+      | Ok () -> Ok (fd, deadline)
+      | Error _ as e ->
+        drop s i;
+        e)
+
+  (* Read the reply to a {!post}. A transport failure drops the link, so
+     a late reply can never be read as the answer to a later request; so
+     does a garbled reply or a refusal of a damaged frame, after which the
+     server closes its end. Only a [Busy] shed keeps it: the server is
+     healthy, it just wants the burst spread out. *)
+  let gather ?faults (s : session) i = function
+    | Error e -> `Retry e
+    | Ok (fd, deadline) -> (
+      match
+        recv_frame ?faults ~deadline ~max_bytes:s.sdep.tuning.max_frame_bytes
+          fd
+      with
+      | Error e ->
+        drop s i;
+        `Retry e
+      | Ok reply -> (
+        match classify_ack reply with
+        | `Retry (Peer_error (Busy, _)) as r -> r
+        | `Retry _ as r ->
+          drop s i;
+          r
+        | r -> r))
+
+  (* One request/reply exchange with server [i] on the backoff schedule.
+     [first], when given, is the outcome of an attempt already made (an
+     upload round's), so the schedule resumes after it. *)
+  let session_rpc ?faults ?first (s : session) ~rng i payload =
+    Trace.with_span "net.rpc" @@ fun () ->
+    Retry.with_backoff ~rng s.sdep.tuning.backoff (fun ~attempt ->
+        match first with
+        | Some r when attempt = 0 -> r
+        | _ -> gather ?faults s i (post ?faults s i payload))
+
+  (* One upload round, scatter-gather like the leader's gossip rounds:
+     post the [P] frame to every server, the leader first (its explicit
+     share is the largest admit), then read every reply — followers
+     1..s-1, then the leader; all of them, even after a failure, so no
+     link is left holding an unread reply — and only then walk the
+     verdicts in that order. The servers authenticate, decrypt and
+     expand their shares at the same time instead of one after another.
+     A server whose upload failed in transit, was shed or came back
+     garbled retries alone on the backoff schedule; the first refusal or
+     exhausted schedule ends the round ([None]: every server acked). A
+     server later in the walk may already hold its share as pending by
+     then; [max_pending] bounds that. *)
+  let upload_round ?faults (s : session) ~rng ~client_id
+      (pk : Client.packets) =
+    Trace.with_span "net.upload" @@ fun () ->
+    (* ctx computed inside the span: every server's admit span becomes a
+       child of this round in the merged cross-process trace *)
+    let head = Bytes.cat (put_u32 client_id) (ctx_bytes ()) in
+    let post_upload i =
+      let frame = tagged 'P' (Bytes.cat head pk.Client.sealed.(i)) in
+      (i, frame, Retry.now (), post ?faults s i frame)
+    in
+    let leader = post_upload 0 in
+    let followers =
+      List.init (Array.length pk.Client.sealed - 1) (fun j ->
+          post_upload (j + 1))
+    in
+    (* each upload's post-to-reply time, once its outcome is final *)
+    let timed t0 r =
+      Metrics.observe h_rpc (Retry.now () -. t0);
+      r
+    in
+    let replies =
+      List.map
+        (fun (i, frame, t0, p) ->
+          match gather ?faults s i p with
+          | `Done v -> (i, frame, t0, `Done (timed t0 v))
+          | `Retry _ as r -> (i, frame, t0, r))
+        (followers @ [ leader ])
+    in
+    let rec walk = function
       | [] -> None
-      | i :: rest -> (
-        match upload i with
-        | Ok `Ack -> push rest
+      | (i, frame, t0, r) :: rest -> (
+        let r =
+          match r with
+          | `Done v -> Ok v
+          | `Retry _ as first ->
+            timed t0 (session_rpc ?faults ~first s ~rng i frame)
+        in
+        match r with
+        | Ok `Ack -> walk rest
         | Ok (`Nack why) -> Some (Rejected why)
         (* a [Commit_pending] to an upload cannot happen (only verify
            produces it); treat it as a rejection rather than looping *)
         | Ok (`Resubmit why) -> Some (Rejected ("commit pending: " ^ why))
         | Error e -> Some (Unreachable e))
     in
+    walk replies
+
+  (* One submission: an upload round, then — only once every server
+     acked its share — the leader's verify trigger. A [Commit_pending]
+     verify reply means the leader journaled the verdict but a follower
+     never acked it: re-run the upload round (re-seeding the shares a
+     restarted follower lost) and retry the verify so the leader can
+     repair the broadcast — up to [max_resubmits] rounds. *)
+  let submit_packets_session ?faults (s : session) ~rng ~client_id
+      (pk : Client.packets) : outcome =
+    if Array.length pk.Client.sealed <> s.sdep.cfg.num_servers then
+      invalid_arg "Net.submit_packets: one packet per server required";
+    Trace.with_span "net.submit" ~attrs:[ ("client", string_of_int client_id) ]
+    @@ fun () ->
+    let verify () =
+      Trace.with_span "net.verify" @@ fun () ->
+      let payload = tagged 'V' (Bytes.cat (put_u32 client_id) (ctx_bytes ())) in
+      Metrics.time h_rpc (fun () -> session_rpc ?faults s ~rng 0 payload)
+    in
     let rec submit_round round =
-      match push order with
+      match upload_round ?faults s ~rng ~client_id pk with
       | Some early -> early
       | None -> (
-        match
-          Trace.with_span "net.verify" (fun () ->
-              rpc_to 0
-                (tagged 'V' (Bytes.cat (put_u32 client_id) (ctx_bytes ()))))
-        with
+        match verify () with
         | Ok `Ack -> Accepted
         | Ok (`Nack why) -> Rejected why
         | Ok (`Resubmit why) ->
-          if round < max_resubmits then begin
+          if round < s.sdep.tuning.max_resubmits then begin
             Trace.event "net.resubmit"
               ~attrs:[ ("round", string_of_int round); ("why", why) ];
             (* brief linear pause: commit repair usually waits on a
@@ -1858,110 +1961,6 @@ module Make (F : Prio_field.Field_intf.S) = struct
         ~attrs:[ ("error", string_of_protocol_error e) ]);
     outcome
 
-  (** Upload already-sealed packets over TCP and drive their verification
-      — the packet-level entry point, so callers that prepared
-      submissions up front (the bench harness, {!Pipeline.prepare}
-      output) can replay them against a TCP deployment and compare the
-      wire bytes against [packets.upload_bytes]. *)
-  let submit_packets_outcome ?faults d ~rng ~client_id
-      (pk : Client.packets) : outcome =
-    ignore_sigpipe ();
-    drive_submission ~max_resubmits:d.tuning.max_resubmits
-      ~num_servers:d.cfg.num_servers ~client_id
-      (fun i payload -> rpc ?faults ~tuning:d.tuning ~rng d.addrs.(i) payload)
-      pk
-
-  let submit_packets ?faults d ~rng ~client_id (pk : Client.packets) : bool =
-    match submit_packets_outcome ?faults d ~rng ~client_id pk with
-    | Accepted -> true
-    | Rejected _ | Unreachable _ -> false
-
-  (* ----------------------------- sessions --------------------------- *)
-
-  (** A client's persistent connections to every server. {!rpc} dials a
-      fresh connection per attempt — right for occasional submissions,
-      but a streaming client at 100k+ submissions would pay the handshake
-      on every hot-path RPC and strand every closed connection in
-      TIME_WAIT until loopback's ephemeral ports run out. A session dials
-      each server once and reuses the connection for the whole stream;
-      any transport error drops the cached connection so the backoff
-      retry dials fresh (that heals restarted servers, whose old
-      connections are dead). Not domain-safe: one session per submitting
-      thread. *)
-  type session = {
-    sdep : deployment;
-    sfds : Unix.file_descr option array;  (** cached connection per server *)
-  }
-
-  let open_session d =
-    ignore_sigpipe ();
-    { sdep = d; sfds = Array.make (Array.length d.addrs) None }
-
-  let close_session s =
-    Array.iteri
-      (fun i fd ->
-        match fd with
-        | Some fd ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          s.sfds.(i) <- None
-        | None -> ())
-      s.sfds
-
-  (* {!rpc} over the session's cached connection: dial only when there is
-     none; drop the connection on any transport error so the next attempt
-     (and the backoff schedule) reconnects. A [Busy] shed keeps the
-     connection — the server is healthy, it just wants the burst spread
-     out. *)
-  let session_rpc ?faults (s : session) ~rng i payload =
-    Trace.with_span "net.rpc" @@ fun () ->
-    Metrics.time h_rpc @@ fun () ->
-    let tuning = s.sdep.tuning in
-    let drop () =
-      match s.sfds.(i) with
-      | Some fd ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        s.sfds.(i) <- None
-      | None -> ()
-    in
-    Retry.with_backoff ~rng tuning.backoff (fun ~attempt:_ ->
-        match
-          (match s.sfds.(i) with
-          | Some fd -> Ok fd
-          | None -> (
-            match
-              dial ~retry_refused:false
-                ~deadline:(Retry.after tuning.dial_timeout)
-                s.sdep.addrs.(i)
-            with
-            | Ok fd ->
-              s.sfds.(i) <- Some fd;
-              Ok fd
-            | Error _ as e -> e))
-        with
-        | Error e -> `Retry e
-        | Ok fd -> (
-          let deadline = Retry.after tuning.io_timeout in
-          match send_frame ?faults ~deadline fd payload with
-          | Error e ->
-            drop ();
-            `Retry e
-          | Ok () -> (
-            match
-              recv_frame ?faults ~deadline ~max_bytes:tuning.max_frame_bytes
-                fd
-            with
-            | Error e ->
-              drop ();
-              `Retry e
-            | Ok reply -> classify_ack reply)))
-
-  let submit_packets_session ?faults (s : session) ~rng ~client_id
-      (pk : Client.packets) : outcome =
-    drive_submission ~max_resubmits:s.sdep.tuning.max_resubmits
-      ~num_servers:s.sdep.cfg.num_servers ~client_id
-      (fun i payload -> session_rpc ?faults s ~rng i payload)
-      pk
-
   let submit_session ?faults (s : session) ~rng ~client_id
       (encoding : F.t array) : outcome =
     let d = s.sdep in
@@ -1972,6 +1971,24 @@ module Make (F : Prio_field.Field_intf.S) = struct
         encoding
     in
     submit_packets_session ?faults s ~rng ~client_id pk
+
+  (** Upload already-sealed packets over TCP and drive their verification
+      — the packet-level entry point, so callers that prepared
+      submissions up front (the bench harness, {!Pipeline.prepare}
+      output) can replay them against a TCP deployment and compare the
+      wire bytes against [packets.upload_bytes]. Runs over a throwaway
+      session. *)
+  let submit_packets_outcome ?faults d ~rng ~client_id
+      (pk : Client.packets) : outcome =
+    let s = open_session d in
+    Fun.protect
+      ~finally:(fun () -> close_session s)
+      (fun () -> submit_packets_session ?faults s ~rng ~client_id pk)
+
+  let submit_packets ?faults d ~rng ~client_id (pk : Client.packets) : bool =
+    match submit_packets_outcome ?faults d ~rng ~client_id pk with
+    | Accepted -> true
+    | Rejected _ | Unreachable _ -> false
 
   (** Upload one client's submission over TCP and drive its verification,
       with per-frame deadlines and idempotent retry under [faults]. *)

@@ -136,13 +136,15 @@ val send_frame :
   ?faults:Faults.t -> ?deadline:Retry.deadline -> Unix.file_descr ->
   Bytes.t -> (unit, protocol_error) result
 (** {!write_frame} through an optional fault injector ([Drop] pretends
-    the frame went out; [Crash] exits the calling process). *)
+    the frame went out; [Crash] exits the calling process). An injected
+    [Disconnect] shuts the connection down (the peer reads EOF) and
+    returns [Closed], but leaves [fd] open: its owner closes it once. *)
 
 val recv_frame :
   ?faults:Faults.t -> ?deadline:Retry.deadline -> ?max_bytes:int ->
   Unix.file_descr -> (Bytes.t, protocol_error) result
 (** {!read_frame} through an optional fault injector (a dropped reply
-    surfaces as [Timeout]). *)
+    surfaces as [Timeout]; a [Disconnect] behaves as in {!send_frame}). *)
 
 val error_frame : error_code -> string -> Bytes.t
 (** Build an [E] frame: ['E'] ‖ code byte ‖ detail. *)
@@ -291,10 +293,11 @@ module Make (F : Prio_field.Field_intf.S) : sig
   val submit_packets_outcome :
     ?faults:Faults.t -> deployment -> rng:Prio_crypto.Rng.t ->
     client_id:int -> Client.packets -> outcome
-  (** Upload already-sealed packets (followers first, then the leader
-      with the verify trigger) — the packet-level entry point for
-      callers that prepared submissions up front and want to compare
-      wire traffic against [packets.upload_bytes].
+  (** Upload already-sealed packets (one scatter-gather upload round to
+      every server, then the leader's verify trigger) over a throwaway
+      session — the packet-level entry point for callers that prepared
+      submissions up front and want to compare wire traffic against
+      [packets.upload_bytes].
       @raise Invalid_argument on a packet-count/server-count mismatch. *)
 
   val submit_packets :
@@ -307,7 +310,9 @@ module Make (F : Prio_field.Field_intf.S) : sig
       Persistent connections for high-volume clients: one dial per
       server amortized over the stream, instead of a fresh connection
       per RPC (which parks every closed connection in TIME_WAIT and
-      exhausts loopback's ephemeral ports around 100k submissions). *)
+      exhausts loopback's ephemeral ports around 100k submissions).
+      Every client entry point runs over a session; the one-shot ones
+      open a throwaway session and close it when the submission ends. *)
 
   type session
 
@@ -322,7 +327,11 @@ module Make (F : Prio_field.Field_intf.S) : sig
     ?faults:Faults.t -> session -> rng:Prio_crypto.Rng.t ->
     client_id:int -> Client.packets -> outcome
   (** {!submit_packets_outcome} over the session's cached connections.
-      A [Busy] shed retries on the same connection after backoff. *)
+      The [P] frames go out to every server before any reply is read,
+      so the servers admit their shares in parallel; a server whose
+      upload failed, was shed ([Busy], retried on the same connection)
+      or came back garbled retries alone on the backoff schedule. [V]
+      goes out only once every server acked its upload. *)
 
   val submit_session :
     ?faults:Faults.t -> session -> rng:Prio_crypto.Rng.t ->
@@ -332,9 +341,9 @@ module Make (F : Prio_field.Field_intf.S) : sig
   val submit_outcome :
     ?faults:Faults.t -> deployment -> rng:Prio_crypto.Rng.t ->
     client_id:int -> F.t array -> outcome
-  (** Upload one client's encoding over TCP (followers first, then the
-      leader with the verify trigger), with per-frame deadlines and
-      backoff retries; duplicates produced by retries are re-acked
+  (** Upload one client's encoding over TCP (one upload round to every
+      server, then the leader's verify trigger), with per-frame deadlines
+      and backoff retries; duplicates produced by retries are re-acked
       idempotently by the servers. *)
 
   val submit :

@@ -20,6 +20,7 @@ module Sum = Prio_afe.Sum.Make (F)
 module Hist = Prio_afe.Histogram.Make (F)
 module A = Prio_afe.Afe.Make (F)
 module Rng = Prio_crypto.Rng
+module Trace = Prio_obs.Trace
 
 let rng = Rng.of_string_seed "net-tests"
 
@@ -859,6 +860,162 @@ let test_degraded_abort_idempotent () =
       Alcotest.(check string) "aggregate excludes the aborted share" "5"
         (Prio_bigint.Bigint.to_string sigma))
 
+(* --------------------------- client uploads --------------------------- *)
+
+let test_disconnect_fault_leaves_fd () =
+  (* an injected disconnect severs the link but leaves the descriptor to
+     its owner, which closes it once: a second close could hit the same
+     number reused by a dial in between, killing a live link *)
+  let faults () = Faults.create ~seed:"disconnect" (Faults.disconnect 1.0) in
+  let check_severed what (a, b) =
+    Alcotest.(check bool) (what ^ ": descriptor still open") true
+      (match Unix.fstat a with
+      | _ -> true
+      | exception Unix.Unix_error (EBADF, _, _) -> false);
+    (match NetT.read_frame ~deadline:(Retry.after 1.0) b with
+    | Error (NetT.Closed _) -> ()
+    | Ok _ -> Alcotest.failf "%s: peer read a frame, expected EOF" what
+    | Error e ->
+      Alcotest.failf "%s: peer expected EOF, got %s" what
+        (NetT.string_of_protocol_error e));
+    Unix.close a;
+    Unix.close b
+  in
+  let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
+  (match NetT.send_frame ~faults:(faults ()) a (Bytes.of_string "P1") with
+  | Error (NetT.Closed _) -> ()
+  | _ -> Alcotest.fail "send: expected an injected disconnect");
+  check_severed "send" (a, b);
+  let a, b = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
+  ok_exn (NetT.write_frame b (Bytes.of_string "K"));
+  (match NetT.recv_frame ~faults:(faults ()) ~deadline:(Retry.after 1.0) a with
+  | Error (NetT.Closed _) -> ()
+  | _ -> Alcotest.fail "recv: expected an injected disconnect");
+  check_severed "recv" (a, b)
+
+(* Sessions keep one link per server for the whole stream: generous
+   retries so one server's schedule outlasts a run of faults, and a
+   short io deadline so each dropped frame costs little. *)
+let session_tuning =
+  NetT.
+    {
+      fast_tuning with
+      io_timeout = 0.2;
+      backoff = Retry.{ fast_tuning.backoff with max_attempts = 12 };
+    }
+
+let test_session_chaos () =
+  (* one session carries every submission across both policies: dropped
+     frames leave stale replies behind and disconnects kill links, and
+     the session must redial instead of reading a late reply as the
+     answer to a later request *)
+  let afe = Sum.sum ~bits:4 in
+  with_deployment ~tuning:session_tuning afe (fun d ->
+      let s = Net.open_session d in
+      Fun.protect
+        ~finally:(fun () -> Net.close_session s)
+        (fun () ->
+          let total = ref 0 and n = ref 0 in
+          List.iter
+            (fun (seed, policy) ->
+              let faults = Faults.create ~seed policy in
+              for k = 0 to 19 do
+                let x = (k * 7) mod 16 in
+                (match
+                   Net.submit_session ~faults s ~rng ~client_id:!n
+                     (afe.A.encode ~rng x)
+                 with
+                | Net.Accepted -> ()
+                | Net.Rejected why ->
+                  Alcotest.failf "%s: submission %d rejected: %s" seed k why
+                | Net.Unreachable e ->
+                  Alcotest.failf "%s: submission %d unreachable: %s" seed k
+                    (NetT.string_of_protocol_error e));
+                total := !total + x;
+                incr n
+              done;
+              Alcotest.(check bool) (seed ^ " injected faults") true
+                (Faults.injected faults > 0))
+            [ ("session-drop", Faults.drop 0.25);
+              ("session-disconnect", Faults.disconnect 0.2) ];
+          Alcotest.(check string) "aggregate exact" (string_of_int !total)
+            (Prio_bigint.Bigint.to_string
+               (afe.A.decode ~n:!n (collect_exn d)))))
+
+let test_session_redials_restarted_follower () =
+  (* a follower killed and restarted mid-stream leaves the session's
+     cached link to it dead: the next submission on the same session
+     must redial and land *)
+  let afe = Sum.sum ~bits:4 in
+  with_temp_dir "session-restart" @@ fun dir ->
+  let tuning = NetT.{ fast_tuning with checkpoint_dir = Some dir } in
+  with_deployment ~tuning afe (fun d ->
+      let s = Net.open_session d in
+      Fun.protect
+        ~finally:(fun () -> Net.close_session s)
+        (fun () ->
+          let submit i x =
+            match
+              Net.submit_session s ~rng ~client_id:i (afe.A.encode ~rng x)
+            with
+            | Net.Accepted -> ()
+            | Net.Rejected why -> Alcotest.failf "value %d rejected: %s" x why
+            | Net.Unreachable e ->
+              Alcotest.failf "value %d unreachable: %s" x
+                (NetT.string_of_protocol_error e)
+          in
+          List.iteri submit [ 3; 5; 8 ];
+          Unix.kill d.Net.pids.(1) Sys.sigkill;
+          let rec wait_dead n =
+            match (Net.poll_servers d).(1) with
+            | Net.Exited _ -> ()
+            | Net.Running ->
+              if n = 0 then Alcotest.fail "follower ignored SIGKILL";
+              Unix.sleepf 0.01;
+              wait_dead (n - 1)
+          in
+          wait_dead 200;
+          Net.restart_server d 1;
+          submit 3 6;
+          submit 4 1;
+          Alcotest.(check string) "aggregate across the restart" "23"
+            (Prio_bigint.Bigint.to_string (afe.A.decode ~n:5 (collect_exn d)))))
+
+let test_uploads_overlap () =
+  (* two followers each sit 0.2 s on every frame they receive: uploads
+     that run one after another cost at least 0.4 s, an upload round
+     that posts to every server before reading any reply about 0.2 s *)
+  let afe = Sum.sum ~bits:4 in
+  let tuning = NetT.{ fast_tuning with io_timeout = 2.0 } in
+  let faults_for id =
+    if id = 0 then None
+    else
+      Some
+        (Faults.create ~seed:"slow-follower" (Faults.slow ~p:1.0 ~delay:0.2))
+  in
+  let client = Trace.create ~origin:"client" () in
+  Trace.install client;
+  Fun.protect ~finally:Trace.uninstall (fun () ->
+      with_deployment ~tuning ~faults_for afe (fun d ->
+          Alcotest.(check bool) "accepted" true
+            (Net.submit d ~rng ~client_id:0 (afe.A.encode ~rng 4))));
+  let uploads =
+    List.filter
+      (fun sp -> sp.Trace.name = "net.upload")
+      (Trace.spans client)
+  in
+  Alcotest.(check bool) "uploads traced" true (uploads <> []);
+  let first =
+    List.fold_left (fun t sp -> Float.min t sp.Trace.start) infinity uploads
+  and last =
+    List.fold_left
+      (fun t sp -> Float.max t (sp.Trace.start +. sp.Trace.duration))
+      neg_infinity uploads
+  in
+  if last -. first >= 0.3 then
+    Alcotest.failf "uploads took %.3f s: the slow followers were not overlapped"
+      (last -. first)
+
 (* ------------------------- telemetry plane --------------------------- *)
 
 let test_scrape_and_health () =
@@ -929,8 +1086,6 @@ let test_probe_driven_supervision () =
       | _ -> Alcotest.fail "revived follower should probe healthy");
       Alcotest.(check bool) "accepts after probe-driven restart" true
         (Net.submit d ~rng ~client_id:1 (afe.A.encode ~rng 3)))
-
-module Trace = Prio_obs.Trace
 
 let test_merged_trace_ancestry () =
   (* a client submission under seeded client-side chaos, traced across
@@ -1081,6 +1236,16 @@ let () =
             test_commit_window_chaos_drill;
           Alcotest.test_case "degraded abort journaled and idempotent" `Quick
             test_degraded_abort_idempotent;
+        ] );
+      ( "client uploads",
+        [
+          Alcotest.test_case "disconnect fault leaves the fd to its owner"
+            `Quick test_disconnect_fault_leaves_fd;
+          Alcotest.test_case "session survives drop and disconnect" `Quick
+            test_session_chaos;
+          Alcotest.test_case "session redials a restarted follower" `Quick
+            test_session_redials_restarted_follower;
+          Alcotest.test_case "uploads overlap" `Quick test_uploads_overlap;
         ] );
       ( "telemetry",
         [
