@@ -1057,13 +1057,12 @@ let net () =
       let obs_upload = Metrics.value c_upload - upload_before in
       assert (obs_upload = legacy_upload);
       let d = Net.launch cfg in
-      let _, secs =
-        Prio_proto.Pipeline.time (fun () ->
-            Array.iteri
-              (fun i pk -> assert (Net.submit_packets d ~rng:Wk.rng ~client_id:i pk))
-              packets)
+      let batch = Array.mapi (fun i pk -> (i, pk)) packets in
+      let outcomes, secs =
+        Prio_proto.Pipeline.time (fun () -> Net.submit_batch d ~rng:Wk.rng batch)
       in
       Net.shutdown d;
+      Array.iter (fun o -> assert (o = Net.Accepted)) outcomes;
       (* Same cross-check for server-to-server traffic, on an in-process
          cluster of the same shape: the per-link matrix behind
          [Cluster.total_server_bytes] against the Obs link counter. *)
@@ -1178,10 +1177,13 @@ let streaming () =
   let rss_warm = ref 0 and rss_final = ref 0 in
   let shard0_follower () = deployments.(0).Net.pids.(1) in
   let submit_exn shard ~client_id v =
-    match
-      Net.submit_session sessions.(shard) ~rng:Wk.rng ~client_id
+    let pk =
+      Wk.P.Client.submit ~rng:Wk.rng
+        ~mode:(Wk.P.Client.Robust_snip afe.Wk.P.Afe.circuit)
+        ~num_servers ~client_id ~master:Wk.master
         (afe.Wk.P.Afe.encode ~rng:Wk.rng v)
-    with
+    in
+    match Net.submit_packets_session sessions.(shard) ~rng:Wk.rng ~client_id pk with
     | Net.Accepted ->
       accepted.(shard) <- accepted.(shard) + 1;
       expected := !expected + v
@@ -1463,7 +1465,7 @@ let net_scaling () =
     "submissions/s" "speedup";
   let module Wk = W87 in
   let module Net = Wk.P.Net in
-  let l = 64 and s = 3 and n = 24 in
+  let l = 64 and s = 3 and n = 480 in
   let circuit = Wk.bits_circuit l in
   let domain_counts = [ 1; 2; 4; 8 ] in
   (* Fork before spawn: the runtime refuses [Unix.fork] in a process that

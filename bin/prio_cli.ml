@@ -257,6 +257,8 @@ let run_top opts intervals period =
   in
   let d = P.Net.launch ~tuning cfg in
   Fun.protect ~finally:(fun () -> P.Net.shutdown d) @@ fun () ->
+  let session = P.Net.open_session d in
+  Fun.protect ~finally:(fun () -> P.Net.close_session session) @@ fun () ->
   let n = opts.servers in
   let prev = Array.init n (fun _ -> Hashtbl.create 0) in
   let next_id = ref 0 in
@@ -275,9 +277,13 @@ let run_top opts intervals period =
     for _ = 1 to per do
       let cid = !next_id in
       incr next_id;
-      ignore
-        (P.Net.submit d ~rng ~client_id:cid
-           (afe.P.Afe.encode ~rng (Prio.Rng.int_below rng 16)))
+      let pk =
+        P.Client.submit ~rng
+          ~mode:(P.Client.Robust_snip afe.P.Afe.circuit)
+          ~num_servers:n ~client_id:cid ~master
+          (afe.P.Afe.encode ~rng (Prio.Rng.int_below rng 16))
+      in
+      ignore (P.Net.submit_packets_session session ~rng ~client_id:cid pk)
     done;
     if period > 0. then Prio.Retry.sleep period;
     Printf.printf "--- interval %d: +%d submissions ---\n" it per;

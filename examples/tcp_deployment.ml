@@ -38,6 +38,23 @@ let read_file path =
   close_in ic;
   s
 
+(* A one-shot client: upload sealed packets over a throwaway session (a
+   streaming client would keep one session open for the whole stream). *)
+let submit_packets ?faults d ~rng ~client_id pk =
+  let s = Net.open_session d in
+  Fun.protect
+    ~finally:(fun () -> Net.close_session s)
+    (fun () -> Net.submit_packets_session ?faults s ~rng ~client_id pk)
+
+(* The same, sealing one client's encoding first. *)
+let submit ?faults d ~rng ~client_id encoding =
+  let cfg = d.Net.cfg in
+  submit_packets ?faults d ~rng ~client_id
+    (P.Client.submit ~rng
+       ~mode:(P.Client.Robust_snip cfg.Net.circuit)
+       ~num_servers:cfg.Net.num_servers ~client_id ~master:cfg.Net.master
+       encoding)
+
 let describe_probe = function
   | Net.Probe_ok h ->
     Printf.sprintf "ok (epoch=%d pending=%d accepted=%d)" h.T.h_epoch
@@ -100,7 +117,7 @@ let () =
   List.iteri
     (fun i x ->
       match
-        Net.submit_outcome ~faults d ~rng ~client_id:i (afe.P.Afe.encode ~rng x)
+        submit ~faults d ~rng ~client_id:i (afe.P.Afe.encode ~rng x)
       with
       | Net.Accepted -> incr accepted
       | Net.Rejected why -> Printf.printf "  client %d rejected: %s\n" i why
@@ -134,7 +151,7 @@ let () =
   (* a malicious client tries its luck against the real wire protocol *)
   let bad = afe.P.Afe.encode ~rng 3 in
   bad.(0) <- P.Field.of_int 100_000;
-  let cheater_ok = Net.submit d ~rng ~client_id:9999 bad in
+  let cheater_ok = submit d ~rng ~client_id:9999 bad = Net.Accepted in
   Printf.printf "cheating client accepted: %b\n" cheater_ok;
 
   (* collect before the crash drill: shares on a killed server die with it *)
@@ -215,7 +232,9 @@ let () =
      — the durability drill below runs the same crash with snapshots on
      and keeps every accepted contribution *)
   let restarted = Net.supervise d in
-  let post_restart_ok = Net.submit d ~rng ~client_id:101 (afe.P.Afe.encode ~rng 42) in
+  let post_restart_ok =
+    submit d ~rng ~client_id:101 (afe.P.Afe.encode ~rng 42) = Net.Accepted
+  in
 
   print_endline "crash drill, as the health probes and the trace saw it:";
   Printf.printf "  probe sweep after the kill:    srv3 %s\n"
@@ -367,7 +386,8 @@ let () =
   in
   let pre_crash = [ 11; 22; 33; 44 ] and post_crash = [ 55; 66 ] in
   List.iteri
-    (fun i x -> assert (Net.submit d2 ~rng ~client_id:i (afe.P.Afe.encode ~rng x)))
+    (fun i x ->
+      assert (submit d2 ~rng ~client_id:i (afe.P.Afe.encode ~rng x) = Net.Accepted))
     pre_crash;
   Unix.kill d2.Net.pids.(1) Sys.sigkill;
   let rec wait_dead () =
@@ -381,7 +401,9 @@ let () =
   Net.restart_server d2 1;
   List.iteri
     (fun i x ->
-      assert (Net.submit d2 ~rng ~client_id:(100 + i) (afe.P.Afe.encode ~rng x)))
+      assert (
+        submit d2 ~rng ~client_id:(100 + i) (afe.P.Afe.encode ~rng x)
+        = Net.Accepted))
     post_crash;
   let survived =
     match Net.collect_aggregate d2 with
@@ -460,7 +482,7 @@ let () =
           (afe.P.Afe.encode ~rng x)
       in
       let rec attempt tries =
-        match Net.submit_packets_outcome d3 ~rng ~client_id:i pk with
+        match submit_packets d3 ~rng ~client_id:i pk with
         | Net.Accepted -> ()
         | (Net.Rejected _ | Net.Unreachable _) when tries < 5 ->
           revive ();

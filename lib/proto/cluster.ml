@@ -254,7 +254,6 @@ module Make (F : Prio_field.Field_intf.S) = struct
     Metrics.time h_mpc_eval @@ fun () ->
     let m = C.num_mul_gates t.circuit in
     let l = t.encoding_len in
-    let tc_inputs_len = 3 * m in
     let triple_subs =
       Array.map
         (fun v ->
@@ -282,7 +281,6 @@ module Make (F : Prio_field.Field_intf.S) = struct
                 }))
           vectors
       in
-      ignore tc_inputs_len;
       let wires, _stats = Mpc.eval t.circuit ~inputs:x_shares ~triples in
       (* Beaver traffic: per gate, every server sends its two openings to
          the leader, which broadcasts the reconstructed pair. *)

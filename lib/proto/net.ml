@@ -108,10 +108,15 @@ let ignore_sigpipe () =
 
 (* ------------------------------- tuning -------------------------------- *)
 
-let default_max_frame_bytes = 16 * 1024 * 1024
+(* Frames announcing more than this are refused before allocation. *)
+let max_frame_bytes = 16 * 1024 * 1024
+
+(* Client-side resubmission rounds after a [Commit_pending] verify reply
+   (the leader decided, a follower has not acknowledged its copy) before
+   the submission gives up as rejected. *)
+let max_resubmits = 4
 
 type tuning = {
-  max_frame_bytes : int;  (** reject frames announcing more than this *)
   io_timeout : float;  (** per-frame read/write deadline, seconds *)
   dial_timeout : float;  (** per-connection-establishment deadline *)
   select_tick : float;  (** serve-loop wakeup when idle *)
@@ -125,12 +130,6 @@ type tuning = {
   epoch_size : int;
       (** decisions per replay/idempotency epoch; 0 = never rotate
           (memory then grows with the stream, the pre-streaming mode) *)
-  epoch_max_age_s : float;
-      (** maximum epoch age in seconds before rotation; 0 disables the
-          age trigger. Either trigger closes the epoch, so a trickle of
-          decisions cannot keep replay state resident forever *)
-  clock : Prio_obs.Clock.t;
-      (** drives the epoch-age trigger; injectable for tests *)
   checkpoint_dir : string option;
       (** where servers persist snapshots after decisions; [None]
           disables durability (crash loses the server's state) *)
@@ -139,14 +138,6 @@ type tuning = {
           already makes every acknowledged decision survive a crash, so
           the cadence only bounds how many journal records a restart
           replays; a rotation always snapshots as well *)
-  journal_fsync : bool;
-      (** fsync each decision-journal append before acknowledging it
-          (default). Turning it off trades the write-ahead durability
-          guarantee for speed — only for measuring the fsync overhead *)
-  max_resubmits : int;
-      (** how many times a client resubmits a whole submission after a
-          [Commit_pending] answer (the leader decided, a follower has not
-          acknowledged its copy) before giving up *)
   trace_dir : string option;
       (** with it set, each server process installs its own span recorder
           (origin ["server<id>"]) and dumps [<trace_dir>/server<id>.jsonl]
@@ -155,7 +146,6 @@ type tuning = {
 
 let default_tuning =
   {
-    max_frame_bytes = default_max_frame_bytes;
     io_timeout = 5.0;
     dial_timeout = 2.0;
     select_tick = 0.25;
@@ -163,12 +153,8 @@ let default_tuning =
     verify_domains = 1;
     max_pending = 1024;
     epoch_size = 0;
-    epoch_max_age_s = 0.;
-    clock = Prio_obs.Clock.system;
     checkpoint_dir = None;
     checkpoint_every = 16;
-    journal_fsync = true;
-    max_resubmits = 4;
     trace_dir = None;
   }
 
@@ -365,7 +351,7 @@ let read_exactly fd n deadline : (Bytes.t, protocol_error) result =
   go 0
 
 let read_frame ?(deadline = Retry.no_deadline)
-    ?(max_bytes = default_max_frame_bytes) fd :
+    ?(max_bytes = max_frame_bytes) fd :
     (Bytes.t, protocol_error) result =
   match read_exactly fd 4 deadline with
   | Error (Timeout _) as e ->
@@ -431,6 +417,8 @@ let parse_error_frame frame =
 
 (* -------------------------- fault-aware I/O ---------------------------- *)
 
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
 (* An injected disconnect severs the connection — the peer reads EOF —
    but leaves the descriptor open for its owner to close exactly once:
    closing it here as well would let a dial in between reuse the number,
@@ -482,14 +470,13 @@ let dial ?(deadline = Retry.after 2.0) ?(retry_refused = true) addr :
     (Unix.file_descr, protocol_error) result =
   let rec attempt () =
     let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-    let close () = try Unix.close fd with Unix.Unix_error _ -> () in
     let ok () =
       Unix.clear_nonblock fd;
       (try Unix.setsockopt fd TCP_NODELAY true with Unix.Unix_error _ -> ());
       Ok fd
     in
     let unreachable e =
-      close ();
+      close_quietly fd;
       if not retry_refused then
         Error (Closed ("dial: " ^ Unix.error_message e))
       else if Retry.expired deadline then
@@ -505,7 +492,7 @@ let dial ?(deadline = Retry.after 2.0) ?(retry_refused = true) addr :
     | exception Unix.Unix_error ((EINPROGRESS | EWOULDBLOCK | EAGAIN), _, _)
       -> (
       if not (wait_io ~read:false fd deadline) then begin
-        close ();
+        close_quietly fd;
         Error (Timeout "dial")
       end
       else
@@ -516,7 +503,7 @@ let dial ?(deadline = Retry.after 2.0) ?(retry_refused = true) addr :
              | ECONNRESET) as e) ->
           unreachable e
         | Some e ->
-          close ();
+          close_quietly fd;
           Error (Io_error ("dial: " ^ Unix.error_message e)))
     | exception
         Unix.Unix_error
@@ -525,13 +512,82 @@ let dial ?(deadline = Retry.after 2.0) ?(retry_refused = true) addr :
             _ ) ->
       unreachable e
     | exception Unix.Unix_error (EINTR, _, _) ->
-      close ();
+      close_quietly fd;
       if Retry.expired deadline then Error (Timeout "dial") else attempt ()
     | exception Unix.Unix_error (e, _, _) ->
-      close ();
+      close_quietly fd;
       Error (Io_error ("dial: " ^ Unix.error_message e))
   in
   attempt ()
+
+(* ------------------------------ peer links ----------------------------- *)
+
+(* Persistent connections to a fixed set of peers: the leader's gossip
+   links to its followers, and a client session's links to every server.
+   A slot holds at most one connection, dialed on first use. A failed
+   write or read drops it — closed and forgotten here, the one place a
+   link is closed — so the next use dials fresh and a late reply can
+   never be read as the answer to a later request. Retry policy stays
+   with the owner: the leader redials once on a stale cached link, a
+   client session backs off. *)
+module Links = struct
+  type t = {
+    peers : Unix.sockaddr array;
+    fds : Unix.file_descr option array;
+    tuning : tuning;
+    retry_refused : bool;
+        (** the leader's dial waits out a refused port until the
+            deadline; a client's fails fast, so its backoff schedule, not
+            a dial loop, paces a dead server *)
+  }
+
+  let create ~tuning ~retry_refused peers =
+    { peers; fds = Array.make (Array.length peers) None; tuning; retry_refused }
+
+  let cached l i = Option.is_some l.fds.(i)
+
+  let drop l i =
+    match l.fds.(i) with
+    | Some fd ->
+      close_quietly fd;
+      l.fds.(i) <- None
+    | None -> ()
+
+  let close l = Array.iteri (fun i _ -> drop l i) l.fds
+
+  let connect l i =
+    match l.fds.(i) with
+    | Some fd -> Ok fd
+    | None ->
+      Result.map
+        (fun fd ->
+          l.fds.(i) <- Some fd;
+          fd)
+        (dial ~retry_refused:l.retry_refused
+           ~deadline:(Retry.after l.tuning.dial_timeout)
+           l.peers.(i))
+
+  (* Write one request to peer [i], dialing when no link is cached.
+     [Ok (fd, deadline)]: the request is out and its reply is due by
+     [deadline]. *)
+  let post ?faults l i payload =
+    match connect l i with
+    | Error e -> Error e
+    | Ok fd -> (
+      let deadline = Retry.after l.tuning.io_timeout in
+      match send_frame ?faults ~deadline fd payload with
+      | Ok () -> Ok (fd, deadline)
+      | Error e ->
+        drop l i;
+        Error e)
+
+  let read ?faults l i ~deadline fd =
+    match recv_frame ?faults ~deadline fd with
+    | Ok _ as r -> r
+    | Error _ as e ->
+      drop l i;
+      e
+end
 
 (* ------------------------- health and scrape --------------------------- *)
 
@@ -601,43 +657,43 @@ let health_of_bytes_opt frame ~off =
     end
   end
 
-(* one probe RPC: fresh connection, no retries — a supervisor wants the
-   current truth, not a backoff-smoothed one *)
-let probe_rpc ~tuning addr payload ~expect =
+(* One request over a fresh connection, no retries: a supervisor,
+   collector or controller wants the current truth, not a
+   backoff-smoothed one. The reply must carry tag [expect] (an [E] reply
+   surfaces as [Peer_error]); without [expect] the request is one-way
+   and nothing is read. *)
+let rpc ?(retry_refused = false) ?expect ~tuning addr payload =
   ignore_sigpipe ();
   match
-    dial ~retry_refused:false ~deadline:(Retry.after tuning.dial_timeout) addr
+    dial ~retry_refused ~deadline:(Retry.after tuning.dial_timeout) addr
   with
   | Error e -> Error e
-  | Ok fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        let deadline = Retry.after tuning.io_timeout in
-        match write_frame ~deadline fd payload with
-        | Error e -> Error e
-        | Ok () -> (
-          match read_frame ~deadline ~max_bytes:tuning.max_frame_bytes fd with
-          | Error e -> Error e
-          | Ok reply ->
-            if Bytes.length reply = 0 then Error (Bad_frame "empty reply")
-            else if Bytes.get reply 0 = 'E' then (
-              match parse_error_frame reply with
-              | Some (c, detail) -> Error (Peer_error (c, detail))
-              | None -> Error (Bad_frame "garbled error frame"))
-            else if Bytes.get reply 0 <> expect then
-              Error
-                (Bad_frame
-                   (Printf.sprintf "expected %C reply, got %C" expect
-                      (Bytes.get reply 0)))
-            else Ok reply))
+  | Ok fd -> (
+    Fun.protect ~finally:(fun () -> close_quietly fd) @@ fun () ->
+    let deadline = Retry.after tuning.io_timeout in
+    match (write_frame ~deadline fd payload, expect) with
+    | Error e, _ -> Error e
+    | Ok (), None -> Ok Bytes.empty
+    | Ok (), Some expect -> (
+      match read_frame ~deadline fd with
+      | Error e -> Error e
+      | Ok reply when Bytes.get reply 0 = 'E' -> (
+        match parse_error_frame reply with
+        | Some (c, detail) -> Error (Peer_error (c, detail))
+        | None -> Error (Bad_frame "garbled error frame"))
+      | Ok reply when Bytes.get reply 0 <> expect ->
+        Error
+          (Bad_frame
+             (Printf.sprintf "expected %C reply, got %C" expect
+                (Bytes.get reply 0)))
+      | Ok reply -> Ok reply))
 
 (** Ask one server for its {!health} over a fresh connection ([h] → [H]).
     Works against any live server of a deployment; an error is itself the
     signal (dial refused = port dead, timeout = process wedged). *)
 let probe_health ?(tuning = default_tuning) addr :
     (health, protocol_error) result =
-  match probe_rpc ~tuning addr (tagged 'h' Bytes.empty) ~expect:'H' with
+  match rpc ~tuning ~expect:'H' addr (tagged 'h' Bytes.empty) with
   | Error _ as e -> e
   | Ok reply -> (
     match health_of_bytes_opt reply ~off:1 with
@@ -650,9 +706,7 @@ let probe_health ?(tuning = default_tuning) addr :
 let scrape_metrics ?(tuning = default_tuning) ?(format = `Prometheus) addr :
     (string, protocol_error) result =
   let fmt = match format with `Prometheus -> 'p' | `Json -> 'j' in
-  match
-    probe_rpc ~tuning addr (tagged 'q' (Bytes.make 1 fmt)) ~expect:'m'
-  with
+  match rpc ~tuning ~expect:'m' addr (tagged 'q' (Bytes.make 1 fmt)) with
   | Error _ as e -> e
   | Ok reply -> Ok (Bytes.sub_string reply 1 (Bytes.length reply - 1))
 
@@ -704,18 +758,17 @@ module Make (F : Prio_field.Field_intf.S) = struct
       ~(follower_addrs : Unix.sockaddr array) =
     ignore_sigpipe ();
     (* this process's registry answers the live scrape: zero whatever the
-       forking parent had accumulated, and time stages on the deployment
-       clock so manual-clock tests stay deterministic *)
+       forking parent had accumulated, and time stages on the system
+       clock even if the parent had installed a manual one *)
     Metrics.reset ();
-    Metrics.set_clock tuning.clock;
+    Metrics.set_clock Clock.system;
     (match tuning.trace_dir with
     | None -> ()
     | Some _ ->
       (* own recorder, origin-labeled so per-process dumps merge into one
          cross-process tree ({!Trace.merge}) *)
       Trace.install
-        (Trace.create ~clock:tuning.clock ~capacity:65536
-           ~origin:("server" ^ string_of_int id) ()));
+        (Trace.create ~capacity:65536 ~origin:("server" ^ string_of_int id) ()));
     let payload_elements =
       C.num_inputs cfg.circuit + Snip.proof_num_elements cfg.circuit
     in
@@ -826,7 +879,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
         with
         | Ok () ->
           Metrics.incr m_ckpt_writes;
-          last_ckpt_at := Clock.now tuning.clock;
+          last_ckpt_at := Clock.now Clock.system;
           (* the snapshot now carries [journal_seq], so every journaled
              decision is absorbed: drop the journal prefix *)
           (match !journal with
@@ -849,15 +902,12 @@ module Make (F : Prio_field.Field_intf.S) = struct
                 ("error", Checkpoint.string_of_error e) ])
     in
     (* Record a verdict, then run the durability/flat-memory schedule:
-       rotate the per-submission tables every [epoch_size] decisions — or
-       once the epoch is [epoch_max_age_s] seconds old with at least one
-       decision in it — and snapshot every [checkpoint_every] decisions
-       (a rotation always snapshots, so restarting from it cannot
-       resurrect a closed epoch). *)
-    let epoch_started_at = ref (Clock.now tuning.clock) in
+       rotate the per-submission tables every [epoch_size] decisions and
+       snapshot every [checkpoint_every] decisions (a rotation always
+       snapshots, so restarting from it cannot resurrect a closed
+       epoch). *)
     let rotate_now () =
       Server.rotate_epoch state;
-      epoch_started_at := Clock.now tuning.clock;
       decisions_since_ckpt := 0;
       write_checkpoint ();
       (* decisions the rotation aged out can no longer be re-acked, so
@@ -868,17 +918,12 @@ module Make (F : Prio_field.Field_intf.S) = struct
             Hashtbl.remove uncommitted client_id)
         (Hashtbl.copy uncommitted)
     in
-    let epoch_expired () =
-      tuning.epoch_max_age_s > 0.
-      && state.Server.decided_in_epoch > 0
-      && Clock.now tuning.clock -. !epoch_started_at >= tuning.epoch_max_age_s
-    in
-    (* Write-ahead the verdict: append to the decision journal (fsynced
-       under the default tuning) before the decision is applied or
-       acknowledged anywhere. Returns [false] only when a live journal
-       could not take the record — the caller decides whether that
-       degrades durability (leader) or availability (follower).
-       Idempotent: an already-recorded decision is already journaled. *)
+    (* Write-ahead the verdict: append to the decision journal (fsynced)
+       before the decision is applied or acknowledged anywhere. Returns
+       [false] only when a live journal could not take the record — the
+       caller decides whether that degrades durability (leader) or
+       availability (follower). Idempotent: an already-recorded decision
+       is already journaled. *)
     let journal_decision ~client_id accepted share =
       match !journal with
       | None -> true
@@ -896,8 +941,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
                 (if accepted then Array.sub share 0 cfg.trunc_len else [||]) }
           in
           match
-            Metrics.time h_journal_fsync (fun () ->
-                Ckpt.journal_append ~fsync:tuning.journal_fsync j entry)
+            Metrics.time h_journal_fsync (fun () -> Ckpt.journal_append j entry)
           with
           | Ok () ->
             Metrics.incr m_journal_appends;
@@ -913,9 +957,8 @@ module Make (F : Prio_field.Field_intf.S) = struct
     let finish_decision ~client_id verdict =
       ignore (Server.record_decision state ~client_id verdict : bool);
       if
-        (tuning.epoch_size > 0
-        && state.Server.decided_in_epoch >= tuning.epoch_size)
-        || epoch_expired ()
+        tuning.epoch_size > 0
+        && state.Server.decided_in_epoch >= tuning.epoch_size
       then rotate_now ()
       else begin
         incr decisions_since_ckpt;
@@ -950,32 +993,34 @@ module Make (F : Prio_field.Field_intf.S) = struct
       | None ->
         Snip.server_prepare ctx (Snip.submission_of_vector cfg.circuit p.share)
     in
+    (* span attributes naming this server and the submission at hand *)
+    let attrs client_id =
+      [ ("server", string_of_int id); ("client", string_of_int client_id) ]
+    in
+    (* The one decision path, run once [journal_decision] has written the
+       verdict ahead: [apply] folds an accepted share into the
+       accumulator (a reject has nothing to fold), and [retire] drops the
+       submission from the admission queue and records its verdict.
+       Streaming aggregation: the share drops with the pending entry, so
+       nothing per-submission outlives the decision. *)
+    let apply ?ctx ~client_id share =
+      Trace.with_span_ctx ?ctx "server.aggregate" ~attrs:(attrs client_id)
+      @@ fun () ->
+      Metrics.time h_stage_aggregate (fun () -> Server.accumulate state share)
+    in
+    let retire ~client_id verdict =
+      Hashtbl.remove pending client_id;
+      note_depth ();
+      finish_decision ~client_id verdict
+    in
     let nf = if id = 0 then Array.length follower_addrs else 0 in
     (* leader: persistent connections to followers, redialed on demand *)
-    let follower_fds : Unix.file_descr option array = Array.make nf None in
-    let connect_follower j =
-      match follower_fds.(j) with
-      | Some fd -> Ok fd
-      | None -> (
-        match
-          dial ~deadline:(Retry.after tuning.dial_timeout) follower_addrs.(j)
-        with
-        | Ok fd ->
-          follower_fds.(j) <- Some fd;
-          Ok fd
-        | Error _ as e -> e)
+    let followers =
+      Links.create ~tuning ~retry_refused:true (Array.sub follower_addrs 0 nf)
     in
-    let drop_follower j =
-      match follower_fds.(j) with
-      | Some fd ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        follower_fds.(j) <- None
-      | None -> ()
-    in
-    if id = 0 then
-      for j = 0 to nf - 1 do
-        ignore (connect_follower j)
-      done;
+    for j = 0 to nf - 1 do
+      ignore (Links.connect followers j)
+    done;
     let reply fd payload =
       match
         write_frame ~deadline:(Retry.after tuning.io_timeout) fd payload
@@ -984,51 +1029,38 @@ module Make (F : Prio_field.Field_intf.S) = struct
       (* a client that vanished mid-reply is cleaned up on its next read *)
     in
     let reply_error fd code detail = reply fd (error_frame code detail) in
+    let ack accepted = tagged (if accepted then 'K' else 'R') Bytes.empty in
+    let reply_commit_pending fd =
+      reply_error fd Commit_pending "decision journaled, follower ack outstanding"
+    in
     (* One follower's leg of a leader round, split so the leader can write
        to every follower before reading from any. A failure on a *cached*
        link may just mean the peer restarted since we last spoke (stale
-       persistent connection): drop it and redo the exchange once over a
-       fresh dial. A failure on a connection we just established is
-       authoritative — the follower really is down. *)
-    let write_follower j payload =
-      match connect_follower j with
-      | Error _ as e -> e
-      | Ok fd -> (
-        match
-          write_frame ~deadline:(Retry.after tuning.io_timeout) fd payload
-        with
-        | Ok () -> Ok fd
-        | Error e ->
-          drop_follower j;
-          Error e)
-    in
-    let read_follower j fd =
-      match
-        read_frame
-          ~deadline:(Retry.after tuning.io_timeout)
-          ~max_bytes:tuning.max_frame_bytes fd
-      with
-      | Ok _ as r -> r
-      | Error e ->
-        drop_follower j;
-        Error e
-    in
-    (* [Ok (fd, retry)]: the request is out; [retry] says the link was
-       cached, so a failed read may still redial and resend once *)
+       persistent connection): the link is dropped, and the exchange is
+       redone once over a fresh dial. A failure on a connection we just
+       established is authoritative — the follower really is down.
+       [Ok (fd, retry)]: the request is out; [retry] says the link was
+       cached, so a failed read may still redial and resend once. *)
     let post j payload =
-      let cached = follower_fds.(j) <> None in
-      match write_follower j payload with
-      | Ok fd -> Ok (fd, cached)
+      let cached = Links.cached followers j in
+      match Links.post followers j payload with
+      | Ok (fd, _) -> Ok (fd, cached)
       | Error _ when cached ->
-        Result.map (fun fd -> (fd, false)) (write_follower j payload)
-      | Error _ as e -> e
+        Result.map (fun (fd, _) -> (fd, false)) (Links.post followers j payload)
+      | Error e -> Error e
+    in
+    (* the reply deadline runs from the read, not the write: the leader
+       works on its own share in between *)
+    let read j fd =
+      Links.read followers j ~deadline:(Retry.after tuning.io_timeout) fd
     in
     let collect j payload = function
-      | Error _ as e -> e
+      | Error e -> Error e
       | Ok (fd, retry) -> (
-        match read_follower j fd with
+        match read j fd with
         | Error _ when retry ->
-          Result.bind (write_follower j payload) (read_follower j)
+          Result.bind (Links.post followers j payload) (fun (fd, _) ->
+              read j fd)
         | r -> r)
     in
     (* Scatter-gather one leader round: write [payload] to every follower
@@ -1046,14 +1078,21 @@ module Make (F : Prio_field.Field_intf.S) = struct
     in
     let pair_bytes a b = Bytes.cat (F.to_bytes a) (F.to_bytes b) in
     let has_tag c r = Bytes.length r > 0 && Bytes.get r 0 = c in
+    (* gossip and decision frames carry the leader's open verify span as
+       context, so every follower's spans join the client's trace *)
+    let id_ctx client_id = Bytes.cat (put_u32 client_id) (ctx_bytes ()) in
     (* Two-phase decision broadcast: send [a]/[r] to the followers and
        wait for each [c] commit ack, meaning that follower journaled the
        verdict before replying. [true] only when every follower sent a
        genuine ack. An [E] reply (e.g. the follower's journal is failing)
        keeps the connection; any other reply means the streams are
        desynced. *)
-    let commit_all ?skip payload local =
-      let (), replies = broadcast ?skip payload local in
+    let commit_all ?skip ~client_id accepted local =
+      let (), replies =
+        broadcast ?skip
+          (tagged (if accepted then 'a' else 'r') (id_ctx client_id))
+          local
+      in
       let all_acked = ref true in
       Array.iteri
         (fun j r ->
@@ -1062,12 +1101,27 @@ module Make (F : Prio_field.Field_intf.S) = struct
           | Some (Ok r) when has_tag 'c' r -> Metrics.incr m_commit_acks
           | Some r ->
             (match r with
-            | Ok r when not (has_tag 'E' r) -> drop_follower j
+            | Ok r when not (has_tag 'E' r) -> Links.drop followers j
             | Ok _ | Error _ -> ());
             Metrics.incr m_commit_failures;
             all_acked := false)
         replies;
       !all_acked
+    in
+    (* The leader's commit point, for a verdict and for a degraded abort
+       alike: write-ahead the verdict before any [a]/[r] goes out (a
+       journal failure here degrades durability, like a failed checkpoint
+       — the decision still stands), then run the acked broadcast,
+       applying the verdict while the followers journal theirs. The
+       client is only acked once every follower confirmed its journal
+       write; a partial broadcast returns [false] and is repaired by the
+       client's resubmission. [journal_decision] is idempotent against an
+       already-recorded verdict, so a repeated abort (client retry after
+       a degraded round) cannot journal a contradictory decision. *)
+    let commit ?skip ~client_id accepted share =
+      ignore (journal_decision ~client_id accepted share : bool);
+      commit_all ?skip ~client_id accepted (fun () ->
+          if accepted then apply ~client_id share)
     in
     (* leader: drive the two SNIP gossip rounds for one pending client.
        Any follower failure aborts just this submission (a journaled,
@@ -1080,7 +1134,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
           | Error err -> Error err
           | Ok r -> (
             let bad why =
-              drop_follower j;
+              Links.drop followers j;
               Error (Bad_frame why)
             in
             if Bytes.length r = 0 then bad "empty gossip reply"
@@ -1110,9 +1164,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
           | Some (j, err) -> raise (Degraded (j, err))
           | None -> (!a, !b)
         in
-        (* gossip frames carry the leader's open verify span as context,
-           so every follower's spans join the client's trace *)
-        let id_ctx = Bytes.cat (put_u32 client_id) (ctx_bytes ()) in
+        let id_ctx = id_ctx client_id in
         (* round 1: followers open while the leader prepares its share *)
         let (my_state, my_opening), replies =
           broadcast (tagged 'o' id_ctx) (fun () -> prepare_pending p)
@@ -1130,39 +1182,9 @@ module Make (F : Prio_field.Field_intf.S) = struct
           sum_pairs 'S' (my_verdict.Snip.sigma, my_verdict.Snip.zero) replies
         in
         let accepted = F.is_zero sigma && F.is_zero zero in
-        (* Commit point: write-ahead the leader's own verdict before any
-           [a]/[r] goes out (a journal failure here degrades durability,
-           like a failed checkpoint — the decision still stands), then run
-           the acked broadcast, applying the verdict while the followers
-           journal theirs. The client is only acked once every follower
-           confirmed its journal write; a partial broadcast surfaces as
-           [all_acked = false] and is repaired by the client's
-           resubmission. *)
-        ignore (journal_decision ~client_id accepted p.share : bool);
-        let all_acked =
-          commit_all
-            (tagged (if accepted then 'a' else 'r') id_ctx)
-            (fun () ->
-              if accepted then
-                Trace.with_span "server.aggregate"
-                  ~attrs:[ ("server", string_of_int id) ]
-                  (fun () ->
-                    Metrics.time h_stage_aggregate (fun () ->
-                        Server.accumulate state p.share)))
-        in
-        Ok (accepted, all_acked)
+        Ok (accepted, commit ~client_id accepted p.share)
       with Degraded (j, err) ->
-        (* The aborting [r] must follow the same write-ahead discipline
-           as a commit: journal it here, and only send acked [r] frames.
-           [journal_decision] is idempotent against an already-recorded
-           verdict, so a repeated abort (client retry after a degraded
-           round) cannot journal a contradictory decision. *)
-        ignore (journal_decision ~client_id false [||] : bool);
-        ignore
-          (commit_all ~skip:j
-             (tagged 'r' (Bytes.cat (put_u32 client_id) (ctx_bytes ())))
-             ignore
-            : bool);
+        ignore (commit ~skip:j ~client_id false p.share : bool);
         Error (j, err)
     in
     let handle_frame fd frame =
@@ -1180,16 +1202,13 @@ module Make (F : Prio_field.Field_intf.S) = struct
             let client_id = get_u32 frame 1 in
             let tctx, off = get_ctx frame 5 in
             let sealed = Bytes.sub frame off (Bytes.length frame - off) in
-            Trace.with_span_ctx ?ctx:tctx "server.admit"
-              ~attrs:
-                [ ("server", string_of_int id);
-                  ("client", string_of_int client_id) ]
+            Trace.with_span_ctx ?ctx:tctx "server.admit" ~attrs:(attrs client_id)
             @@ fun () ->
             Metrics.time h_stage_admit @@ fun () ->
             (match Server.decision state ~client_id with
             | Some accepted ->
               (* duplicate of a finished submission: idempotent re-ack *)
-              reply fd (tagged (if accepted then 'K' else 'R') Bytes.empty)
+              reply fd (ack accepted)
             | None ->
               if Hashtbl.mem pending client_id then
                 (* duplicate of an in-flight upload (lost ack): re-ack
@@ -1200,10 +1219,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
                    retryable refusal instead of growing without limit —
                    the client's backoff schedule absorbs the burst *)
                 Metrics.incr m_shed;
-                Trace.event "server.shed"
-                  ~attrs:
-                    [ ("server", string_of_int id);
-                      ("client", string_of_int client_id) ];
+                Trace.event "server.shed" ~attrs:(attrs client_id);
                 reply_error fd Busy "admission queue full"
               end
               else (
@@ -1225,10 +1241,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
         need 5 (fun () ->
             let client_id = get_u32 frame 1 in
             let tctx, _ = get_ctx frame 5 in
-            Trace.with_span_ctx ?ctx:tctx "server.verify"
-              ~attrs:
-                [ ("server", string_of_int id);
-                  ("client", string_of_int client_id) ]
+            Trace.with_span_ctx ?ctx:tctx "server.verify" ~attrs:(attrs client_id)
             @@ fun () ->
             (if id <> 0 then reply_error fd Unavailable "not the leader"
              else
@@ -1238,54 +1251,37 @@ module Make (F : Prio_field.Field_intf.S) = struct
                     acked it (crash mid-broadcast, or replayed from the
                     journal after a leader restart): repair by re-running
                     the acked broadcast before re-acking the client *)
-                 let tag = if accepted then 'a' else 'r' in
-                 let payload =
-                   Bytes.cat (put_u32 client_id) (ctx_bytes ())
-                 in
-                 if commit_all (tagged tag payload) ignore then begin
+                 if commit_all ~client_id accepted ignore then begin
                    Hashtbl.remove uncommitted client_id;
                    Metrics.incr m_commit_repairs;
                    Trace.event "server.commit_repaired"
                      ~attrs:[ ("client", string_of_int client_id) ];
-                   reply fd
-                     (tagged (if accepted then 'K' else 'R') Bytes.empty)
+                   reply fd (ack accepted)
                  end
-                 else
-                   reply_error fd Commit_pending
-                     "decision journaled, follower ack outstanding"
-               | Some accepted ->
-                 reply fd (tagged (if accepted then 'K' else 'R') Bytes.empty)
+                 else reply_commit_pending fd
+               | Some accepted -> reply fd (ack accepted)
                | None -> (
                  match Hashtbl.find_opt pending client_id with
                  | None ->
                    reply_error fd Unknown_client (string_of_int client_id)
                  | Some p -> (
-                   match
-                     Metrics.time h_stage_verify (fun () ->
-                         verify client_id p)
-                   with
-                   | Ok (accepted, all_acked) ->
-                     Hashtbl.remove pending client_id;
-                     note_depth ();
-                     finish_decision ~client_id accepted;
-                     if all_acked then
-                       reply fd
-                         (tagged (if accepted then 'K' else 'R') Bytes.empty)
-                     else begin
-                       (* partial broadcast: the verdict is durable here
-                          but not everywhere — make the client come back
-                          ([Commit_pending] drives a resubmission) and
-                          remember to repair on that retry *)
-                       Hashtbl.replace uncommitted client_id ();
-                       reply_error fd Commit_pending
-                         "decision journaled, follower ack outstanding"
-                     end
+                   let verdict =
+                     Metrics.time h_stage_verify (fun () -> verify client_id p)
+                   in
+                   retire ~client_id
+                     (match verdict with Ok (a, _) -> a | Error _ -> false);
+                   match verdict with
+                   | Ok (accepted, true) -> reply fd (ack accepted)
+                   | Ok (_, false) ->
+                     (* partial broadcast: the verdict is durable here but
+                        not everywhere — make the client come back
+                        ([Commit_pending] drives a resubmission) and
+                        remember to repair on that retry *)
+                     Hashtbl.replace uncommitted client_id ();
+                     reply_commit_pending fd
                    | Error (j, err) ->
                      (* graceful degradation: this submission is cleanly
                         rejected, the leader keeps serving *)
-                     Hashtbl.remove pending client_id;
-                     note_depth ();
-                     finish_decision ~client_id false;
                      reply_error fd Unavailable
                        (Printf.sprintf "follower %d: %s" (j + 1)
                           (string_of_protocol_error err)))));
@@ -1300,9 +1296,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
               (* follower's share of the verify stage, joined to the
                  leader's span via the gossip-frame context *)
               Trace.with_span_ctx ?ctx:tctx "server.verify"
-                ~attrs:
-                  [ ("server", string_of_int id);
-                    ("client", string_of_int client_id) ]
+                ~attrs:(attrs client_id)
               @@ fun () ->
               let st, opening =
                 Metrics.time h_stage_verify (fun () -> prepare_pending p)
@@ -1324,9 +1318,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
                 reply_error fd Malformed_frame "decide before opening"
               | Some { state = Some st; _ } ->
                 Trace.with_span_ctx ?ctx:tctx "server.decide"
-                  ~attrs:
-                    [ ("server", string_of_int id);
-                      ("client", string_of_int client_id) ]
+                  ~attrs:(attrs client_id)
                 @@ fun () ->
                 let v =
                   Metrics.time h_stage_verify (fun () ->
@@ -1334,66 +1326,42 @@ module Make (F : Prio_field.Field_intf.S) = struct
                 in
                 reply fd (tagged 'S' (pair_bytes v.Snip.sigma v.Snip.zero))));
             `Keep)
-      | 'a' ->
+      | ('a' | 'r') as tag ->
         need 5 (fun () ->
             let client_id = get_u32 frame 1 in
             let tctx, _ = get_ctx frame 5 in
-            (match Server.decision state ~client_id with
-            | Some _ ->
+            let accepted = tag = 'a' in
+            (match
+               (Server.decision state ~client_id, Hashtbl.find_opt pending client_id)
+             with
+            | Some _, _ ->
               (* already journaled and applied (the previous ack was
                  lost): re-ack, never re-accumulate *)
               reply fd (tagged 'c' Bytes.empty)
-            | None -> (
-              match Hashtbl.find_opt pending client_id with
-              | Some p ->
-                (* two-phase commit: journal first (write-ahead), then
-                   fold the share into the accumulator and ack with [c].
-                   If the journal cannot take the record, refuse the ack
-                   — accumulating an unjournaled accept would desync the
-                   servers after a crash. *)
-                if not (journal_decision ~client_id true p.share) then
-                  reply_error fd Unavailable "decision journal failed"
-                else begin
-                  (* streaming aggregation: the share folds into the
-                     accumulator and drops with the pending entry —
-                     nothing per-submission outlives the decision *)
-                  (Trace.with_span_ctx ?ctx:tctx "server.aggregate"
-                     ~attrs:
-                       [ ("server", string_of_int id);
-                         ("client", string_of_int client_id) ]
-                  @@ fun () ->
-                   Metrics.time h_stage_aggregate (fun () ->
-                       Server.accumulate state p.share));
-                  Hashtbl.remove pending client_id;
-                  note_depth ();
-                  finish_decision ~client_id true;
-                  reply fd (tagged 'c' Bytes.empty)
-                end
-              | None ->
-                (* no share to aggregate: the upload never landed (or a
-                   restart dropped it). Refusing the ack makes the leader
-                   report [Commit_pending]; the client's resubmission
-                   re-seeds the share and the retried broadcast heals. *)
-                reply_error fd Unknown_client (string_of_int client_id)));
-            `Keep)
-      | 'r' ->
-        need 5 (fun () ->
-            let client_id = get_u32 frame 1 in
-            let tctx, _ = get_ctx frame 5 in
-            (match Server.decision state ~client_id with
-            | Some _ -> reply fd (tagged 'c' Bytes.empty)
-            | None ->
-              if not (journal_decision ~client_id false [||]) then
+            | None, None when accepted ->
+              (* no share to aggregate: the upload never landed (or a
+                 restart dropped it). Refusing the ack makes the leader
+                 report [Commit_pending]; the client's resubmission
+                 re-seeds the share and the retried broadcast heals. *)
+              reply_error fd Unknown_client (string_of_int client_id)
+            | None, p ->
+              (* two-phase commit: journal first (write-ahead), then apply
+                 the verdict and ack with [c]. If the journal cannot take
+                 the record, refuse the ack — accumulating an unjournaled
+                 accept would desync the servers after a crash. An abort
+                 needs no share, so it also settles an upload that never
+                 landed. *)
+              let share = match p with Some p -> p.share | None -> [||] in
+              if not (journal_decision ~client_id accepted share) then
                 reply_error fd Unavailable "decision journal failed"
               else begin
-                (Trace.with_span_ctx ?ctx:tctx "server.discard"
-                   ~attrs:
-                     [ ("server", string_of_int id);
-                       ("client", string_of_int client_id) ]
-                @@ fun () ->
-                 Hashtbl.remove pending client_id;
-                 note_depth ());
-                finish_decision ~client_id false;
+                if accepted then apply ?ctx:tctx ~client_id share
+                else
+                  (* nothing to fold: the span marks, in the leader's
+                     trace, where this follower dropped the share *)
+                  Trace.with_span_ctx ?ctx:tctx "server.discard"
+                    ~attrs:(attrs client_id) ignore;
+                retire ~client_id accepted;
                 reply fd (tagged 'c' Bytes.empty)
               end);
             `Keep)
@@ -1413,11 +1381,9 @@ module Make (F : Prio_field.Field_intf.S) = struct
       | 'h' ->
         let age =
           if Float.is_nan !last_ckpt_at then None
-          else Some (Clock.now tuning.clock -. !last_ckpt_at)
+          else Some (Clock.now Clock.system -. !last_ckpt_at)
         in
-        let peers =
-          List.init nf (fun j -> (j + 1, follower_fds.(j) <> None))
-        in
+        let peers = List.init nf (fun j -> (j + 1, Links.cached followers j)) in
         reply fd
           (tagged 'H'
              (health_to_bytes
@@ -1439,14 +1405,11 @@ module Make (F : Prio_field.Field_intf.S) = struct
        tick so the loop never wedges on a dead peer *)
     let conns = ref [] in
     let close_conn fd =
-      (try Unix.close fd with Unix.Unix_error _ -> ());
+      close_quietly fd;
       conns := List.filter (fun c -> c <> fd) !conns
     in
     (try
        while true do
-         (* Age-triggered rotation fires from the idle tick too: with no
-            decisions arriving, the epoch still expires on schedule. *)
-         if epoch_expired () then rotate_now ();
          match
            Unix.select (listen_fd :: !conns) [] [] tuning.select_tick
          with
@@ -1463,9 +1426,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
                  | exception Unix.Unix_error _ -> ())
                else
                  let deadline = Retry.after tuning.io_timeout in
-                 match
-                   read_frame ~deadline ~max_bytes:tuning.max_frame_bytes fd
-                 with
+                 match read_frame ~deadline fd with
                  | Error (Frame_oversize n) ->
                    reply_error fd Too_large (string_of_int n);
                    close_conn fd
@@ -1512,13 +1473,9 @@ module Make (F : Prio_field.Field_intf.S) = struct
     | _ -> ());
     Pool.shutdown pool;
     (match !journal with Some j -> Ckpt.journal_close j | None -> ());
-    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !conns;
-    Array.iter
-      (function
-        | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-        | None -> ())
-      follower_fds;
-    try Unix.close listen_fd with Unix.Unix_error _ -> ()
+    List.iter close_quietly !conns;
+    Links.close followers;
+    close_quietly listen_fd
 
   (* --------------------------- deployment --------------------------- *)
 
@@ -1541,13 +1498,18 @@ module Make (F : Prio_field.Field_intf.S) = struct
     Unix.listen fd 32;
     fd
 
-  let fork_server ?(restore_min_epoch = 0) ~tuning ~faults_for cfg ~id
-      ~listen_fd ~follower_addrs =
+  (* Fork one server process serving on [listen_fd]. The child first
+     closes [siblings], the listeners it inherited from servers forked
+     alongside it: a copy held open would keep a dead sibling's port
+     accepting connections nobody serves, and block its restart. *)
+  let fork_server ?(restore_min_epoch = 0) ?(siblings = []) ~tuning
+      ~faults_for cfg ~id ~listen_fd ~follower_addrs =
     (* don't let the child inherit (and later re-flush) buffered output *)
     flush stdout;
     flush stderr;
     match Unix.fork () with
     | 0 ->
+      List.iter Unix.close siblings;
       (try
          serve ~tuning ?faults:(faults_for id) ~restore_min_epoch cfg ~id
            ~listen_fd ~follower_addrs
@@ -1575,23 +1537,15 @@ module Make (F : Prio_field.Field_intf.S) = struct
         listeners
     in
     let follower_addrs = Array.sub addrs 1 (cfg.num_servers - 1) in
-    flush stdout;
-    flush stderr;
     let pids =
-      Array.init cfg.num_servers (fun id ->
-          match Unix.fork () with
-          | 0 ->
-            (* child: close the other servers' listeners, then serve *)
-            Array.iteri (fun j fd -> if j <> id then Unix.close fd) listeners;
-            (try
-               serve ~tuning ?faults:(faults_for id) cfg ~id
-                 ~listen_fd:listeners.(id) ~follower_addrs
-             with e ->
-               (* dying forked child: stderr is the only channel left *)
-               (* prio-lint: allow no-debug-io *)
-               prerr_endline ("prio net server: " ^ Printexc.to_string e));
-            exit 0
-          | pid -> pid)
+      Array.mapi
+        (fun id listen_fd ->
+          let siblings =
+            List.filter (fun fd -> fd <> listen_fd) (Array.to_list listeners)
+          in
+          fork_server ~siblings ~tuning ~faults_for cfg ~id ~listen_fd
+            ~follower_addrs)
+        listeners
     in
     Array.iter Unix.close listeners;
     {
@@ -1699,6 +1653,14 @@ module Make (F : Prio_field.Field_intf.S) = struct
          (count (function Probe_degraded _ -> true | _ -> false)));
     probes
 
+  (* SIGKILL server [i] and reap it, recording its exit status. *)
+  let kill_and_reap d i =
+    (try Unix.kill d.pids.(i) Sys.sigkill with Unix.Unix_error _ -> ());
+    match Unix.waitpid [] d.pids.(i) with
+    | _, st -> d.statuses.(i) <- Some st
+    | exception Unix.Unix_error (ECHILD, _, _) ->
+      d.statuses.(i) <- Some (Unix.WEXITED 0)
+
   (** Probe-driven supervision: restart every server the sweep found
       dead, and kill-then-restart every live server that would not
       answer its probe — the wedged state liveness polling cannot see.
@@ -1723,12 +1685,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
             ~attrs:
               [ ("server", string_of_int i);
                 ("error", string_of_protocol_error e) ];
-          (try Unix.kill d.pids.(i) Sys.sigkill
-           with Unix.Unix_error _ -> ());
-          (match Unix.waitpid [] d.pids.(i) with
-          | _, st -> d.statuses.(i) <- Some st
-          | exception Unix.Unix_error (ECHILD, _, _) ->
-            d.statuses.(i) <- Some (Unix.WEXITED 0));
+          kill_and_reap d i;
           restart ())
       (probe_deployment d);
     List.rev !restarted
@@ -1767,83 +1724,38 @@ module Make (F : Prio_field.Field_intf.S) = struct
       | _ -> `Retry (Bad_frame "unparseable reply")
 
   (** A client's persistent connections to every server, the one client
-      RPC path: every submission runs over a session (a one-shot
-      submission over a throwaway one). A streaming client at 100k+
-      submissions would otherwise pay the handshake on every hot-path
-      RPC and strand every closed connection in TIME_WAIT until
+      RPC path: every submission runs over a session. A streaming client
+      at 100k+ submissions would otherwise pay the handshake on every
+      hot-path RPC and strand every closed connection in TIME_WAIT until
       loopback's ephemeral ports run out. A session dials each server
       once and reuses the connection for the whole stream; any transport
       error drops the cached connection so the backoff retry dials fresh
       (that heals restarted servers, whose old connections are dead).
       Not domain-safe: one session per submitting thread. *)
-  type session = {
-    sdep : deployment;
-    sfds : Unix.file_descr option array;  (** cached connection per server *)
-  }
+  type session = { sdep : deployment; links : Links.t }
 
   let open_session d =
     ignore_sigpipe ();
-    { sdep = d; sfds = Array.make (Array.length d.addrs) None }
+    { sdep = d;
+      links = Links.create ~tuning:d.tuning ~retry_refused:false d.addrs }
 
-  (* close and forget server [i]'s link: the session owns every link,
-     and this is the one place it is closed *)
-  let drop (s : session) i =
-    match s.sfds.(i) with
-    | Some fd ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      s.sfds.(i) <- None
-    | None -> ()
+  let close_session s = Links.close s.links
 
-  let close_session s = Array.iteri (fun i _ -> drop s i) s.sfds
-
-  (* Write one request on the session's link to server [i], dialing when
-     there is none — without retrying a refused port, so the backoff
-     schedule, not a dial loop, paces a dead server. [Ok (fd, deadline)]:
-     the request is out and its reply is due by [deadline]. *)
-  let post ?faults (s : session) i payload =
-    let tuning = s.sdep.tuning in
-    let link =
-      match s.sfds.(i) with
-      | Some fd -> Ok fd
-      | None ->
-        Result.map
-          (fun fd ->
-            s.sfds.(i) <- Some fd;
-            fd)
-          (dial ~retry_refused:false
-             ~deadline:(Retry.after tuning.dial_timeout)
-             s.sdep.addrs.(i))
-    in
-    match link with
-    | Error _ as e -> e
-    | Ok fd -> (
-      let deadline = Retry.after tuning.io_timeout in
-      match send_frame ?faults ~deadline fd payload with
-      | Ok () -> Ok (fd, deadline)
-      | Error _ as e ->
-        drop s i;
-        e)
-
-  (* Read the reply to a {!post}. A transport failure drops the link, so
-     a late reply can never be read as the answer to a later request; so
-     does a garbled reply or a refusal of a damaged frame, after which the
-     server closes its end. Only a [Busy] shed keeps it: the server is
-     healthy, it just wants the burst spread out. *)
+  (* Read the reply to a {!Links.post}. A transport failure drops the
+     link, so a late reply can never be read as the answer to a later
+     request; so does a garbled reply or a refusal of a damaged frame,
+     after which the server closes its end. Only a [Busy] shed keeps it:
+     the server is healthy, it just wants the burst spread out. *)
   let gather ?faults (s : session) i = function
     | Error e -> `Retry e
     | Ok (fd, deadline) -> (
-      match
-        recv_frame ?faults ~deadline ~max_bytes:s.sdep.tuning.max_frame_bytes
-          fd
-      with
-      | Error e ->
-        drop s i;
-        `Retry e
+      match Links.read ?faults s.links i ~deadline fd with
+      | Error e -> `Retry e
       | Ok reply -> (
         match classify_ack reply with
         | `Retry (Peer_error (Busy, _)) as r -> r
         | `Retry _ as r ->
-          drop s i;
+          Links.drop s.links i;
           r
         | r -> r))
 
@@ -1855,7 +1767,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
     Retry.with_backoff ~rng s.sdep.tuning.backoff (fun ~attempt ->
         match first with
         | Some r when attempt = 0 -> r
-        | _ -> gather ?faults s i (post ?faults s i payload))
+        | _ -> gather ?faults s i (Links.post ?faults s.links i payload))
 
   (* One upload round, scatter-gather like the leader's gossip rounds:
      post the [P] frame to every server, the leader first (its explicit
@@ -1877,7 +1789,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
     let head = Bytes.cat (put_u32 client_id) (ctx_bytes ()) in
     let post_upload i =
       let frame = tagged 'P' (Bytes.cat head pk.Client.sealed.(i)) in
-      (i, frame, Retry.now (), post ?faults s i frame)
+      (i, frame, Retry.now (), Links.post ?faults s.links i frame)
     in
     let leader = post_upload 0 in
     let followers =
@@ -1925,7 +1837,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
   let submit_packets_session ?faults (s : session) ~rng ~client_id
       (pk : Client.packets) : outcome =
     if Array.length pk.Client.sealed <> s.sdep.cfg.num_servers then
-      invalid_arg "Net.submit_packets: one packet per server required";
+      invalid_arg "Net.submit_packets_session: one packet per server required";
     Trace.with_span "net.submit" ~attrs:[ ("client", string_of_int client_id) ]
     @@ fun () ->
     let verify () =
@@ -1941,7 +1853,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
         | Ok `Ack -> Accepted
         | Ok (`Nack why) -> Rejected why
         | Ok (`Resubmit why) ->
-          if round < s.sdep.tuning.max_resubmits then begin
+          if round < max_resubmits then begin
             Trace.event "net.resubmit"
               ~attrs:[ ("round", string_of_int round); ("why", why) ];
             (* brief linear pause: commit repair usually waits on a
@@ -1961,60 +1873,14 @@ module Make (F : Prio_field.Field_intf.S) = struct
         ~attrs:[ ("error", string_of_protocol_error e) ]);
     outcome
 
-  let submit_session ?faults (s : session) ~rng ~client_id
-      (encoding : F.t array) : outcome =
-    let d = s.sdep in
-    let pk =
-      Client.submit ~rng
-        ~mode:(Client.Robust_snip d.cfg.circuit)
-        ~num_servers:d.cfg.num_servers ~client_id ~master:d.cfg.master
-        encoding
-    in
-    submit_packets_session ?faults s ~rng ~client_id pk
-
-  (** Upload already-sealed packets over TCP and drive their verification
-      — the packet-level entry point, so callers that prepared
-      submissions up front (the bench harness, {!Pipeline.prepare}
-      output) can replay them against a TCP deployment and compare the
-      wire bytes against [packets.upload_bytes]. Runs over a throwaway
-      session. *)
-  let submit_packets_outcome ?faults d ~rng ~client_id
-      (pk : Client.packets) : outcome =
-    let s = open_session d in
-    Fun.protect
-      ~finally:(fun () -> close_session s)
-      (fun () -> submit_packets_session ?faults s ~rng ~client_id pk)
-
-  let submit_packets ?faults d ~rng ~client_id (pk : Client.packets) : bool =
-    match submit_packets_outcome ?faults d ~rng ~client_id pk with
-    | Accepted -> true
-    | Rejected _ | Unreachable _ -> false
-
-  (** Upload one client's submission over TCP and drive its verification,
-      with per-frame deadlines and idempotent retry under [faults]. *)
-  let submit_outcome ?faults d ~rng ~client_id (encoding : F.t array) :
-      outcome =
-    let pk =
-      Client.submit ~rng
-        ~mode:(Client.Robust_snip d.cfg.circuit)
-        ~num_servers:d.cfg.num_servers ~client_id ~master:d.cfg.master
-        encoding
-    in
-    submit_packets_outcome ?faults d ~rng ~client_id pk
-
-  let submit ?faults d ~rng ~client_id (encoding : F.t array) : bool =
-    match submit_outcome ?faults d ~rng ~client_id encoding with
-    | Accepted -> true
-    | Rejected _ | Unreachable _ -> false
-
   (** Drive a whole prepared batch against the deployment, [domains]
       submissions in flight at once (each on its own pool thread with a
-      deterministically split RNG). Verification of distinct clients is
-      independent and the servers' per-client decisions don't depend on
-      arrival order, so the outcome array — returned in packet order — is
-      the same as submitting serially. This is the client-side half of the
-      runtime's multicore story; pair it with [tuning.verify_domains] on
-      the server side. *)
+      deterministically split RNG), each over a throwaway session.
+      Verification of distinct clients is independent and the servers'
+      per-client decisions don't depend on arrival order, so the outcome
+      array — returned in packet order — is the same as submitting
+      serially. This is the client-side half of the runtime's multicore
+      story; pair it with [tuning.verify_domains] on the server side. *)
   let submit_batch ?faults ?(domains = 1) d ~rng
       (packets : (int * Client.packets) array) : outcome array =
     ignore_sigpipe ();
@@ -2026,61 +1892,41 @@ module Make (F : Prio_field.Field_intf.S) = struct
     (* split before dispatch: RNG derivation stays in packet order no
        matter how the pool schedules the submissions *)
     let rngs = Array.map (fun _ -> Rng.split rng) packets in
-    if domains <= 1 then
-      Array.mapi
-        (fun i (client_id, pk) ->
-          submit_packets_outcome ?faults d ~rng:rngs.(i) ~client_id pk)
-        packets
+    let submit i =
+      let client_id, pk = packets.(i) in
+      let s = open_session d in
+      Fun.protect
+        ~finally:(fun () -> close_session s)
+        (fun () -> submit_packets_session ?faults s ~rng:rngs.(i) ~client_id pk)
+    in
+    let indices = Array.init (Array.length packets) Fun.id in
+    if domains <= 1 then Array.map submit indices
     else begin
       let pool = Pool.create ~domains in
       Fun.protect
         ~finally:(fun () -> Pool.shutdown pool)
-        (fun () ->
-          Pool.map_array pool
-            (fun i ->
-              let client_id, pk = packets.(i) in
-              submit_packets_outcome ?faults d ~rng:rngs.(i) ~client_id pk)
-            (Array.init (Array.length packets) Fun.id))
+        (fun () -> Pool.map_array pool submit indices)
     end
 
   (** Fetch and sum all accumulators. [Error (i, e)] names the first
       unreachable or garbled server and the structured cause. *)
   let collect_aggregate d : (F.t array, int * protocol_error) result =
-    ignore_sigpipe ();
     Trace.with_span "net.collect" @@ fun () ->
-    let tuning = d.tuning in
     let acc = Array.make d.cfg.trunc_len F.zero in
-    let fetch addr : (unit, protocol_error) result =
-      match dial ~deadline:(Retry.after tuning.dial_timeout) addr with
+    let fetch addr =
+      (* unlike a probe, collection waits out a refused port until the
+         dial deadline *)
+      match
+        rpc ~retry_refused:true ~expect:'A' ~tuning:d.tuning addr
+          (tagged 'Q' Bytes.empty)
+      with
       | Error e -> Error e
-      | Ok fd ->
-        Fun.protect
-          ~finally:(fun () ->
-            try Unix.close fd with Unix.Unix_error _ -> ())
-          (fun () ->
-            let deadline = Retry.after tuning.io_timeout in
-            match write_frame ~deadline fd (tagged 'Q' Bytes.empty) with
-            | Error e -> Error e
-            | Ok () -> (
-              match
-                read_frame ~deadline ~max_bytes:tuning.max_frame_bytes fd
-              with
-              | Error e -> Error e
-              | Ok reply ->
-                if Bytes.length reply < 1 || Bytes.get reply 0 <> 'A' then
-                  Error (Bad_frame "expected accumulator reply")
-                else (
-                  match
-                    W.vector_of_bytes_opt
-                      (Bytes.sub reply 1 (Bytes.length reply - 1))
-                  with
-                  | Some v when Array.length v = d.cfg.trunc_len ->
-                    Array.iteri
-                      (fun j x -> acc.(j) <- F.add acc.(j) x)
-                      v;
-                    Ok ()
-                  | Some _ | None ->
-                    Error (Bad_frame "bad accumulator payload"))))
+      | Ok reply -> (
+        match W.vector_of_bytes_opt (Bytes.sub reply 1 (Bytes.length reply - 1)) with
+        | Some v when Array.length v = d.cfg.trunc_len ->
+          Array.iteri (fun j x -> acc.(j) <- F.add acc.(j) x) v;
+          Ok ()
+        | Some _ | None -> Error (Bad_frame "bad accumulator payload"))
     in
     let rec go i =
       if i >= Array.length d.addrs then Ok acc
@@ -2095,44 +1941,20 @@ module Make (F : Prio_field.Field_intf.S) = struct
       then a grace period, then SIGKILL for anything still alive — so
       shutdown terminates even when a server is wedged or long dead. *)
   let shutdown d =
-    ignore_sigpipe ();
-    let tuning = d.tuning in
+    let tuning =
+      { d.tuning with dial_timeout = Float.min 0.5 d.tuning.dial_timeout }
+    in
     Array.iteri
       (fun i addr ->
         if d.statuses.(i) = None then
-          match
-            dial ~retry_refused:false
-              ~deadline:(Retry.after (Float.min 0.5 tuning.dial_timeout))
-              addr
-          with
-          | Error _ -> ()
-          | Ok fd ->
-            ignore
-              (write_frame
-                 ~deadline:(Retry.after tuning.io_timeout)
-                 fd (tagged 'X' Bytes.empty));
-            ( try Unix.close fd with Unix.Unix_error _ -> ()))
+          ignore (rpc ~tuning addr (tagged 'X' Bytes.empty)))
       d.addrs;
     let grace = Retry.after 5.0 in
     let rec reap () =
       ignore (poll_servers d);
       if Array.exists (fun s -> s = None) d.statuses then
-        if Retry.expired grace then begin
-          Array.iteri
-            (fun i s ->
-              if s = None then
-                try Unix.kill d.pids.(i) Sys.sigkill
-                with Unix.Unix_error _ -> ())
-            d.statuses;
-          Array.iteri
-            (fun i s ->
-              if s = None then
-                match Unix.waitpid [] d.pids.(i) with
-                | _, st -> d.statuses.(i) <- Some st
-                | exception Unix.Unix_error (ECHILD, _, _) ->
-                  d.statuses.(i) <- Some (Unix.WEXITED 0))
-            d.statuses
-        end
+        if Retry.expired grace then
+          Array.iteri (fun i s -> if s = None then kill_and_reap d i) d.statuses
         else begin
           Retry.sleep 0.01;
           reap ()

@@ -47,12 +47,12 @@ val ignore_sigpipe : unit -> unit
 (** Make a peer closing mid-write surface as [EPIPE] instead of killing
     the process. Idempotent; called by every entry point. *)
 
-val default_max_frame_bytes : int
-(** 16 MiB. *)
+val max_frame_bytes : int
+(** 16 MiB: the frame cap. Frames announcing more are refused before
+    allocation. *)
 
 (** Deployment-wide knobs; tests shrink the timeouts. *)
 type tuning = {
-  max_frame_bytes : int;  (** reject frames announcing more than this *)
   io_timeout : float;  (** per-frame read/write deadline, seconds *)
   dial_timeout : float;  (** per-connection-establishment deadline *)
   select_tick : float;  (** serve-loop wakeup when idle *)
@@ -68,13 +68,6 @@ type tuning = {
       (** decisions per replay/idempotency epoch (default 0 = never
           rotate); setting it keeps server memory flat over unbounded
           streams *)
-  epoch_max_age_s : float;
-      (** maximum epoch age in seconds before rotation (default 0 = no
-          age trigger); either trigger closes the epoch, so a trickle
-          of decisions cannot keep replay state resident forever *)
-  clock : Prio_obs.Clock.t;
-      (** drives the epoch-age trigger (default the system clock;
-          injectable for tests) *)
   checkpoint_dir : string option;
       (** snapshot directory (default [None] = durability off); with it
           set, servers persist after decisions and
@@ -84,13 +77,6 @@ type tuning = {
           decision is already in the fsynced decision journal, so the
           cadence loses nothing; it bounds how many journal records a
           restart replays *)
-  journal_fsync : bool;
-      (** fsync every decision-journal append before acknowledging it
-          (default [true]); turning it off trades the write-ahead
-          guarantee for throughput in tests and benchmarks *)
-  max_resubmits : int;
-      (** client-side resubmission rounds after a [Commit_pending]
-          verify reply (default 4) before giving up as rejected *)
   trace_dir : string option;
       (** span-dump directory (default [None]); with it set, each server
           process records its spans under origin ["server<id>"] and dumps
@@ -290,29 +276,13 @@ module Make (F : Prio_field.Field_intf.S) : sig
     | Rejected of string  (** the cluster answered definitively *)
     | Unreachable of protocol_error  (** retries exhausted *)
 
-  val submit_packets_outcome :
-    ?faults:Faults.t -> deployment -> rng:Prio_crypto.Rng.t ->
-    client_id:int -> Client.packets -> outcome
-  (** Upload already-sealed packets (one scatter-gather upload round to
-      every server, then the leader's verify trigger) over a throwaway
-      session — the packet-level entry point for callers that prepared
-      submissions up front and want to compare wire traffic against
-      [packets.upload_bytes].
-      @raise Invalid_argument on a packet-count/server-count mismatch. *)
-
-  val submit_packets :
-    ?faults:Faults.t -> deployment -> rng:Prio_crypto.Rng.t ->
-    client_id:int -> Client.packets -> bool
-  (** [submit_packets_outcome] collapsed to "accepted?". *)
-
   (** {2 Streaming sessions}
 
       Persistent connections for high-volume clients: one dial per
       server amortized over the stream, instead of a fresh connection
       per RPC (which parks every closed connection in TIME_WAIT and
       exhausts loopback's ephemeral ports around 100k submissions).
-      Every client entry point runs over a session; the one-shot ones
-      open a throwaway session and close it when the submission ends. *)
+      Every client submission runs over a session. *)
 
   type session
 
@@ -326,39 +296,27 @@ module Make (F : Prio_field.Field_intf.S) : sig
   val submit_packets_session :
     ?faults:Faults.t -> session -> rng:Prio_crypto.Rng.t ->
     client_id:int -> Client.packets -> outcome
-  (** {!submit_packets_outcome} over the session's cached connections.
-      The [P] frames go out to every server before any reply is read,
-      so the servers admit their shares in parallel; a server whose
-      upload failed, was shed ([Busy], retried on the same connection)
-      or came back garbled retries alone on the backoff schedule. [V]
-      goes out only once every server acked its upload. *)
-
-  val submit_session :
-    ?faults:Faults.t -> session -> rng:Prio_crypto.Rng.t ->
-    client_id:int -> F.t array -> outcome
-  (** Seal and upload one encoding over the session. *)
-
-  val submit_outcome :
-    ?faults:Faults.t -> deployment -> rng:Prio_crypto.Rng.t ->
-    client_id:int -> F.t array -> outcome
-  (** Upload one client's encoding over TCP (one upload round to every
-      server, then the leader's verify trigger), with per-frame deadlines
-      and backoff retries; duplicates produced by retries are re-acked
-      idempotently by the servers. *)
-
-  val submit :
-    ?faults:Faults.t -> deployment -> rng:Prio_crypto.Rng.t ->
-    client_id:int -> F.t array -> bool
-  (** [submit_outcome] collapsed to "accepted?". *)
+  (** Upload already-sealed packets (one per server) over the session's
+      cached connections, then send the leader's verify trigger. The [P]
+      frames go out to every server before any reply is read, so the
+      servers admit their shares in parallel; a server whose upload
+      failed, was shed ([Busy], retried on the same connection) or came
+      back garbled retries alone on the backoff schedule, and duplicates
+      produced by retries are re-acked idempotently by the servers. [V]
+      goes out only once every server acked its upload. A
+      [Commit_pending] verify reply re-runs the whole submission, up to
+      4 rounds, so the leader can repair the partial broadcast.
+      @raise Invalid_argument on a packet-count/server-count mismatch. *)
 
   val submit_batch :
     ?faults:Faults.t -> ?domains:int -> deployment ->
     rng:Prio_crypto.Rng.t -> (int * Client.packets) array -> outcome array
   (** Drive a prepared batch with [domains] submissions in flight at
-      once (default 1 = serial); outcomes come back in packet order and
-      match a serial run — per-client decisions are independent of
-      arrival order. Per-packet RNGs are split from [rng] in packet
-      order before dispatch, so the run is deterministic. *)
+      once (default 1 = serial), each over a throwaway session; outcomes
+      come back in packet order and match a serial run — per-client
+      decisions are independent of arrival order. Per-packet RNGs are
+      split from [rng] in packet order before dispatch, so the run is
+      deterministic. *)
 
   val collect_aggregate :
     deployment -> (F.t array, int * protocol_error) result

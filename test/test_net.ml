@@ -81,6 +81,23 @@ let with_temp_dir name f =
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
     (fun () -> f dir)
 
+(* The one-shot client the suite drives: seal with [rng], then submit
+   over a throwaway session, so every submission dials fresh. *)
+let seal d ~rng ~client_id enc =
+  let cfg = d.Net.cfg in
+  Cl.submit ~rng
+    ~mode:(Cl.Robust_snip cfg.Net.circuit)
+    ~num_servers:cfg.Net.num_servers ~client_id ~master:cfg.Net.master enc
+
+let submit_packets ?faults d ~rng ~client_id pk =
+  let s = Net.open_session d in
+  Fun.protect
+    ~finally:(fun () -> Net.close_session s)
+    (fun () -> Net.submit_packets_session ?faults s ~rng ~client_id pk)
+
+let submit ?faults d ~rng ~client_id enc =
+  submit_packets ?faults d ~rng ~client_id (seal d ~rng ~client_id enc)
+
 let ok_exn = function
   | Ok v -> v
   | Error e -> Alcotest.failf "io error: %s" (NetT.string_of_protocol_error e)
@@ -93,7 +110,7 @@ let test_sum_end_to_end () =
       List.iteri
         (fun i x ->
           Alcotest.(check bool) "accepted over TCP" true
-            (Net.submit d ~rng ~client_id:i (afe.A.encode ~rng x)))
+            (submit d ~rng ~client_id:i (afe.A.encode ~rng x) = Net.Accepted))
         [ 3; 7; 15; 0; 9 ];
       let total = afe.A.decode ~n:5 (collect_exn d) in
       Alcotest.(check string) "aggregate" "34" (Prio_bigint.Bigint.to_string total))
@@ -102,11 +119,11 @@ let test_rejects_cheater () =
   let afe = Sum.sum ~bits:4 in
   with_deployment afe (fun d ->
       Alcotest.(check bool) "honest ok" true
-        (Net.submit d ~rng ~client_id:0 (afe.A.encode ~rng 5));
+        (submit d ~rng ~client_id:0 (afe.A.encode ~rng 5) = Net.Accepted);
       let bad = afe.A.encode ~rng 3 in
       bad.(0) <- F.of_int 999;
       Alcotest.(check bool) "cheater rejected over TCP" false
-        (Net.submit d ~rng ~client_id:1 bad);
+        (submit d ~rng ~client_id:1 bad = Net.Accepted);
       let total = afe.A.decode ~n:1 (collect_exn d) in
       Alcotest.(check string) "aggregate unpolluted" "5"
         (Prio_bigint.Bigint.to_string total))
@@ -117,7 +134,7 @@ let test_five_servers_histogram () =
       List.iteri
         (fun i x ->
           Alcotest.(check bool) "accepted" true
-            (Net.submit d ~rng ~client_id:i (afe.A.encode ~rng x)))
+            (submit d ~rng ~client_id:i (afe.A.encode ~rng x) = Net.Accepted))
         [ 0; 1; 1; 3; 3; 3 ];
       let counts = afe.A.decode ~n:6 (collect_exn d) in
       Alcotest.(check (array int)) "histogram over TCP" [| 1; 2; 0; 3 |] counts)
@@ -138,7 +155,7 @@ let run_chaos ~seed policy values =
       let outcomes =
         List.mapi
           (fun i x ->
-            (x, Net.submit_outcome ~faults d ~rng ~client_id:i (afe.A.encode ~rng x)))
+            (x, submit ~faults d ~rng ~client_id:i (afe.A.encode ~rng x)))
           values
       in
       List.iter
@@ -210,7 +227,7 @@ let test_chaos_follower_crash () =
   with_deployment ~faults_for afe (fun d ->
       let outcomes =
         List.init 10 (fun i ->
-            Net.submit_outcome d ~rng ~client_id:i
+            submit d ~rng ~client_id:i
               (afe.A.encode ~rng ((i * 3) mod 16)))
       in
       let accepted =
@@ -239,7 +256,7 @@ let test_leader_degrades_and_restarts () =
   let afe = Sum.sum ~bits:4 in
   with_deployment afe (fun d ->
       Alcotest.(check bool) "healthy accept" true
-        (Net.submit d ~rng ~client_id:0 (afe.A.encode ~rng 5));
+        (submit d ~rng ~client_id:0 (afe.A.encode ~rng 5) = Net.Accepted);
       (* hand-deliver client 1's packets so every server holds its share
          *before* the follower dies (a normal client would fail at dial) *)
       let enc = afe.A.encode ~rng 7 in
@@ -299,7 +316,7 @@ let test_leader_degrades_and_restarts () =
       | Net.Running -> ()
       | Net.Exited _ -> Alcotest.fail "restarted follower should be running");
       Alcotest.(check bool) "accepts after restart" true
-        (Net.submit d ~rng ~client_id:2 (afe.A.encode ~rng 3)))
+        (submit d ~rng ~client_id:2 (afe.A.encode ~rng 3) = Net.Accepted))
 
 (* ------------------------ malformed-frame fuzz ----------------------- *)
 
@@ -341,10 +358,34 @@ let test_fuzz_malformed_frames () =
       | _ -> Alcotest.fail "expected E/too-large for oversize header");
       (* the cluster survived all of it *)
       Alcotest.(check bool) "still serving" true
-        (Net.submit d ~rng ~client_id:0 (afe.A.encode ~rng 9));
+        (submit d ~rng ~client_id:0 (afe.A.encode ~rng 9) = Net.Accepted);
       let total = afe.A.decode ~n:1 (collect_exn d) in
       Alcotest.(check string) "aggregate intact" "9"
         (Prio_bigint.Bigint.to_string total))
+
+let test_collect_names_dead_server () =
+  (* collection needs every server's accumulator: with follower 2
+     SIGKILLed, [collect_aggregate] fails and names that server *)
+  let afe = Sum.sum ~bits:4 in
+  with_deployment afe (fun d ->
+      Alcotest.(check bool) "healthy accept" true
+        (submit d ~rng ~client_id:0 (afe.A.encode ~rng 5) = Net.Accepted);
+      Unix.kill d.Net.pids.(2) Sys.sigkill;
+      let rec wait_dead n =
+        match (Net.poll_servers d).(2) with
+        | Net.Exited _ -> ()
+        | Net.Running ->
+          if n = 0 then Alcotest.fail "follower ignored SIGKILL";
+          Unix.sleepf 0.01;
+          wait_dead (n - 1)
+      in
+      wait_dead 200;
+      match Net.collect_aggregate d with
+      | Error (2, _) -> ()
+      | Error (i, e) ->
+        Alcotest.failf "expected server 2 named, got server %d: %s" i
+          (NetT.string_of_protocol_error e)
+      | Ok _ -> Alcotest.fail "collected an aggregate without follower 2")
 
 (* ---------------------------- idempotency ---------------------------- *)
 
@@ -446,7 +487,7 @@ let test_admission_busy_shed () =
         Alcotest.failf "expected E/busy, got tag %C" (Bytes.get reply 0));
       (* the high-level client treats Busy as retryable: against a queue
          that never drains, it backs off and exhausts its schedule *)
-      (match Net.submit_outcome d ~rng ~client_id:8 (afe.A.encode ~rng 2) with
+      (match submit d ~rng ~client_id:8 (afe.A.encode ~rng 2) with
       | Net.Unreachable (NetT.Peer_error (NetT.Busy, _)) -> ()
       | Net.Unreachable e ->
         Alcotest.failf "expected busy exhaustion, got %s"
@@ -479,7 +520,7 @@ let test_admission_busy_shed () =
         [ 0; 1 ];
       (* with room again, the shed client's retry goes through *)
       Alcotest.(check bool) "recovers after shed" true
-        (Net.submit d ~rng ~client_id:9 (afe.A.encode ~rng 6));
+        (submit d ~rng ~client_id:9 (afe.A.encode ~rng 6) = Net.Accepted);
       let total = afe.A.decode ~n:3 (collect_exn d) in
       Alcotest.(check string) "aggregate counts admitted only" "9"
         (Prio_bigint.Bigint.to_string total))
@@ -576,7 +617,7 @@ let run_with_restore ~crash dir =
             Alcotest.(check bool)
               (Printf.sprintf "accepted %d" i)
               true
-              (Net.submit d ~rng ~client_id:i (afe.A.encode ~rng x)))
+              (submit d ~rng ~client_id:i (afe.A.encode ~rng x) = Net.Accepted))
         restore_values;
       let journal =
         file_size (Prio_proto.Checkpoint.journal_path ~dir ~server_id:1)
@@ -647,7 +688,7 @@ let test_restore_chaos_drill () =
       List.iteri
         (fun i x ->
           let rec attempt tries cid =
-            match Net.submit_outcome d ~rng ~client_id:cid (afe.A.encode ~rng x) with
+            match submit d ~rng ~client_id:cid (afe.A.encode ~rng x) with
             | Net.Accepted ->
               incr landed;
               total := !total + x
@@ -693,7 +734,7 @@ let test_commit_window_chaos_drill () =
         List.iteri
           (fun i x ->
             match
-              Net.submit_outcome d ~rng ~client_id:i (afe.A.encode ~rng x)
+              submit d ~rng ~client_id:i (afe.A.encode ~rng x)
             with
             | Net.Accepted -> incr accepted
             | Net.Rejected why ->
@@ -746,7 +787,7 @@ let test_commit_window_chaos_drill () =
               (afe.A.encode ~rng x)
           in
           let rec attempt tries =
-            match Net.submit_packets_outcome d ~rng ~client_id:i pk with
+            match submit_packets d ~rng ~client_id:i pk with
             | Net.Accepted -> incr accepted
             | (Net.Rejected _ | Net.Unreachable _) when tries < 5 ->
               (* the commit-window crash surfaces as a withheld ack plus
@@ -795,7 +836,7 @@ let test_degraded_abort_idempotent () =
   let tuning = NetT.{ fast_tuning with checkpoint_dir = Some dir } in
   with_deployment ~tuning afe (fun d ->
       Alcotest.(check bool) "healthy accept" true
-        (Net.submit d ~rng ~client_id:0 (afe.A.encode ~rng 5));
+        (submit d ~rng ~client_id:0 (afe.A.encode ~rng 5) = Net.Accepted);
       let pk =
         Cl.submit ~rng
           ~mode:(Cl.Robust_snip afe.A.circuit)
@@ -843,7 +884,7 @@ let test_degraded_abort_idempotent () =
          idempotently; it must NOT re-verify into an accept on any
          server (the contradictory-decision hole) *)
       Net.restart_server d 2;
-      (match Net.submit_packets_outcome d ~rng ~client_id:1 pk with
+      (match submit_packets d ~rng ~client_id:1 pk with
       | Net.Rejected _ -> ()
       | Net.Accepted ->
         Alcotest.fail "aborted submission re-verified into an accept"
@@ -859,6 +900,44 @@ let test_degraded_abort_idempotent () =
       let sigma = afe.A.decode ~n:1 (collect_exn d) in
       Alcotest.(check string) "aggregate excludes the aborted share" "5"
         (Prio_bigint.Bigint.to_string sigma))
+
+let test_epoch_rotation () =
+  (* count-triggered rotation: with [epoch_size = 4], ten decisions close
+     two epochs on every server. Clients 4..7 were decided in epoch 1,
+     now the grace generation, so re-sending one's sealed packets is
+     re-acked from the recorded verdict, never counted twice *)
+  let afe = Sum.sum ~bits:4 in
+  let tuning = NetT.{ fast_tuning with epoch_size = 4 } in
+  with_deployment ~tuning afe (fun d ->
+      let values = [ 3; 7; 15; 0; 9; 4; 12; 1; 6; 10 ] in
+      let sealed =
+        List.mapi
+          (fun i x -> seal d ~rng ~client_id:i (afe.A.encode ~rng x))
+          values
+      in
+      List.iteri
+        (fun i pk ->
+          Alcotest.(check bool)
+            (Printf.sprintf "accepted %d" i)
+            true
+            (submit_packets d ~rng ~client_id:i pk = Net.Accepted))
+        sealed;
+      Array.iteri
+        (fun i addr ->
+          let h = ok_exn (NetT.probe_health ~tuning addr) in
+          Alcotest.(check int)
+            (Printf.sprintf "server %d closed two epochs" i)
+            2 h.NetT.h_epoch)
+        d.Net.addrs;
+      let expected = string_of_int (List.fold_left ( + ) 0 values) in
+      let total () =
+        Prio_bigint.Bigint.to_string
+          (afe.A.decode ~n:(List.length values) (collect_exn d))
+      in
+      Alcotest.(check string) "aggregate exact" expected (total ());
+      Alcotest.(check bool) "grace-generation resend re-acked" true
+        (submit_packets d ~rng ~client_id:5 (List.nth sealed 5) = Net.Accepted);
+      Alcotest.(check string) "resend not counted twice" expected (total ()))
 
 (* --------------------------- client uploads --------------------------- *)
 
@@ -922,8 +1001,8 @@ let test_session_chaos () =
               for k = 0 to 19 do
                 let x = (k * 7) mod 16 in
                 (match
-                   Net.submit_session ~faults s ~rng ~client_id:!n
-                     (afe.A.encode ~rng x)
+                   Net.submit_packets_session ~faults s ~rng ~client_id:!n
+                     (seal d ~rng ~client_id:!n (afe.A.encode ~rng x))
                  with
                 | Net.Accepted -> ()
                 | Net.Rejected why ->
@@ -956,7 +1035,8 @@ let test_session_redials_restarted_follower () =
         (fun () ->
           let submit i x =
             match
-              Net.submit_session s ~rng ~client_id:i (afe.A.encode ~rng x)
+              Net.submit_packets_session s ~rng ~client_id:i
+                (seal d ~rng ~client_id:i (afe.A.encode ~rng x))
             with
             | Net.Accepted -> ()
             | Net.Rejected why -> Alcotest.failf "value %d rejected: %s" x why
@@ -998,7 +1078,7 @@ let test_uploads_overlap () =
   Fun.protect ~finally:Trace.uninstall (fun () ->
       with_deployment ~tuning ~faults_for afe (fun d ->
           Alcotest.(check bool) "accepted" true
-            (Net.submit d ~rng ~client_id:0 (afe.A.encode ~rng 4))));
+            (submit d ~rng ~client_id:0 (afe.A.encode ~rng 4) = Net.Accepted)));
   let uploads =
     List.filter
       (fun sp -> sp.Trace.name = "net.upload")
@@ -1024,7 +1104,7 @@ let test_scrape_and_health () =
       List.iteri
         (fun i x ->
           Alcotest.(check bool) "accepted" true
-            (Net.submit d ~rng ~client_id:i (afe.A.encode ~rng x)))
+            (submit d ~rng ~client_id:i (afe.A.encode ~rng x) = Net.Accepted))
         [ 5; 9 ];
       (* live Prometheus scrape off the leader, over the wire *)
       let prom =
@@ -1067,7 +1147,7 @@ let test_probe_driven_supervision () =
   let afe = Sum.sum ~bits:4 in
   with_deployment afe (fun d ->
       Alcotest.(check bool) "healthy accept" true
-        (Net.submit d ~rng ~client_id:0 (afe.A.encode ~rng 5));
+        (submit d ~rng ~client_id:0 (afe.A.encode ~rng 5) = Net.Accepted);
       Array.iteri
         (fun i p ->
           match p with
@@ -1085,7 +1165,7 @@ let test_probe_driven_supervision () =
       | Net.Probe_ok _ -> ()
       | _ -> Alcotest.fail "revived follower should probe healthy");
       Alcotest.(check bool) "accepts after probe-driven restart" true
-        (Net.submit d ~rng ~client_id:1 (afe.A.encode ~rng 3)))
+        (submit d ~rng ~client_id:1 (afe.A.encode ~rng 3) = Net.Accepted))
 
 let test_merged_trace_ancestry () =
   (* a client submission under seeded client-side chaos, traced across
@@ -1107,7 +1187,7 @@ let test_merged_trace_ancestry () =
                 ~attrs:[ ("client", "0") ]
                 (fun () ->
                   match
-                    Net.submit_outcome ~faults d ~rng ~client_id:0
+                    submit ~faults d ~rng ~client_id:0
                       (afe.A.encode ~rng 6)
                   with
                   | Net.Accepted -> ()
@@ -1223,6 +1303,8 @@ let () =
             test_fuzz_malformed_frames;
           Alcotest.test_case "idempotent retries" `Quick
             test_idempotent_retries;
+          Alcotest.test_case "collect names a dead server" `Quick
+            test_collect_names_dead_server;
         ] );
       ( "admission & durability",
         [
@@ -1236,6 +1318,8 @@ let () =
             test_commit_window_chaos_drill;
           Alcotest.test_case "degraded abort journaled and idempotent" `Quick
             test_degraded_abort_idempotent;
+          Alcotest.test_case "count-triggered epoch rotation" `Quick
+            test_epoch_rotation;
         ] );
       ( "client uploads",
         [
