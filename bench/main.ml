@@ -1447,8 +1447,8 @@ let ntt_plan () =
     \ exponentiation per butterfly level)"
 
 (* ---------------------------------------------------------------------- *)
-(* TCP runtime scaling: concurrent client batches against servers with     *)
-(* verify_domains worker pools.                                            *)
+(* TCP runtime scaling: concurrent client batches against single-threaded *)
+(* servers.                                                                *)
 (* ---------------------------------------------------------------------- *)
 
 let net_scaling () =
@@ -1474,9 +1474,6 @@ let net_scaling () =
   let deployments =
     List.map
       (fun domains ->
-        let tuning =
-          { Prio_proto.Net.default_tuning with verify_domains = domains }
-        in
         let cfg =
           Net.
             {
@@ -1487,7 +1484,7 @@ let net_scaling () =
               batch_seed = Rng.bytes Wk.rng 32;
             }
         in
-        (domains, Net.launch ~tuning cfg))
+        (domains, Net.launch cfg))
       domain_counts
   in
   let serial_rate = ref 0. in
@@ -1527,10 +1524,11 @@ let net_scaling () =
         ])
     deployments;
   print_endline
-    "(each domain keeps one submission in flight end-to-end while the\n\
-    \ servers' verify_domains pools prepare SNIPs off the event loop;\n\
-    \ speedup above 1x at 4 domains needs at least that many physical\n\
-    \ cores — the cores field records what this machine had)"
+    "(each domain keeps one submission in flight end-to-end; every server\n\
+    \ is one single-threaded event loop, so the rows measure client\n\
+    \ concurrency only, and speedup above 1x needs spare physical cores\n\
+    \ beyond the 3 server processes — the cores field records what this\n\
+    \ machine had)"
 
 (* ---------------------------------------------------------------------- *)
 (* Multicore batch verification.                                           *)

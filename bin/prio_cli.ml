@@ -252,8 +252,7 @@ let run_top opts intervals period =
     }
   in
   let tuning =
-    { T.default_tuning with io_timeout = 2.0; dial_timeout = 1.0;
-      select_tick = 0.02 }
+    { T.default_tuning with io_timeout = 2.0; dial_timeout = 1.0 }
   in
   let d = P.Net.launch ~tuning cfg in
   Fun.protect ~finally:(fun () -> P.Net.shutdown d) @@ fun () ->

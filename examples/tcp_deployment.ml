@@ -92,7 +92,6 @@ let () =
         default_tuning with
         io_timeout = 0.4;
         dial_timeout = 1.0;
-        select_tick = 0.02;
         trace_dir = Some trace_dir;
         backoff =
           Retry.

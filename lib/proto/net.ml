@@ -26,8 +26,9 @@
 
     Fault tolerance (the paper's §2/§5 threat model — faulty or malicious
     clients *and* servers — applied to the wire):
-    - every read/write carries a deadline ({!Retry.deadline}); nothing
-      blocks forever, and the serve loop wakes on a tick even when idle;
+    - every read/write carries a deadline ({!Retry.deadline}), so a dead
+      peer never wedges the serve loop; the loop itself blocks in
+      [select] only while no connection is readable;
     - frames are size-capped; a peer claiming an enormous frame gets an
       [E]rror frame instead of an allocation;
     - protocol deviations surface as {!protocol_error} values (never
@@ -67,8 +68,9 @@ type error_code =
   | Busy  (** admission queue full; retry with backoff *)
   | Commit_pending
       (** the verdict is journaled at the leader but a follower has not
-          acknowledged its copy; resubmitting the packets re-seeds the
-          follower and lets the leader repair the commit *)
+          acknowledged its copy, or the leader lost the share in a
+          restart before deciding; resubmitting the packets re-seeds the
+          lost share and lets the leader repair the commit *)
 
 (** Everything that can go wrong on the wire, as a value — the structured
     replacement for the seed implementation's [assert]s and [Not_found]s. *)
@@ -119,11 +121,7 @@ let max_resubmits = 4
 type tuning = {
   io_timeout : float;  (** per-frame read/write deadline, seconds *)
   dial_timeout : float;  (** per-connection-establishment deadline *)
-  select_tick : float;  (** serve-loop wakeup when idle *)
   backoff : Retry.backoff;  (** client-side RPC retry schedule *)
-  verify_domains : int;
-      (** worker domains per server process for SNIP preparation; 1 runs
-          everything inline on the event-loop thread *)
   max_pending : int;
       (** admission cap: uploads beyond this many in-flight submissions
           per server are shed with a retryable [Busy] error frame *)
@@ -148,9 +146,7 @@ let default_tuning =
   {
     io_timeout = 5.0;
     dial_timeout = 2.0;
-    select_tick = 0.25;
     backoff = Retry.default_backoff;
-    verify_domains = 1;
     max_pending = 1024;
     epoch_size = 0;
     checkpoint_dir = None;
@@ -733,363 +729,179 @@ module Make (F : Prio_field.Field_intf.S) = struct
             authenticated server channels *)
   }
 
-  type pending = {
-    share : F.t array;
-    mutable state : Snip.server_state option;
-    mutable prep : (Snip.server_state * Snip.opening) Pool.future option;
-        (** eager [server_prepare], queued on the worker pool at upload
-            time so it overlaps with subsequent frame handling *)
-  }
+  (* ------------------------- the protocol core ------------------------- *)
 
-  (** Run one server's event loop until an [X] frame arrives. [listen_fd]
-      must already be bound and listening (so the caller knows the port).
-      The leader (id 0) additionally dials the followers — lazily
-      redialing ones that died and came back. [faults], if given, sits on
-      this server's frame-receive path (and may [Crash] the process).
+  (* One server's protocol without sockets, files or clocks; it reaches
+     the outside only through [effects] (see the interface). *)
+  module Node = struct
+    type effects = {
+      scatter :
+        ?skip:int -> Bytes.t ->
+        (unit -> (Bytes.t, protocol_error) result option array);
+      drop : int -> unit;
+      journal : Checkpoint.Make(F).journal_entry -> bool;
+      snapshot : Server.t -> unit;
+    }
 
-      With [tuning.checkpoint_dir] set, the server resumes from its
-      latest valid snapshot at startup (rejecting anything corrupted,
-      truncated, stale below [restore_min_epoch], or keyed to a different
-      master — those fall back to a clean epoch restart), replays the
-      decision-journal suffix, and persists a new snapshot every
-      [checkpoint_every] decisions. *)
-  let serve ?(tuning = default_tuning) ?faults ?(restore_min_epoch = 0) cfg
-      ~id ~(listen_fd : Unix.file_descr)
-      ~(follower_addrs : Unix.sockaddr array) =
-    ignore_sigpipe ();
-    (* this process's registry answers the live scrape: zero whatever the
-       forking parent had accumulated, and time stages on the system
-       clock even if the parent had installed a manual one *)
-    Metrics.reset ();
-    Metrics.set_clock Clock.system;
-    (match tuning.trace_dir with
-    | None -> ()
-    | Some _ ->
-      (* own recorder, origin-labeled so per-process dumps merge into one
-         cross-process tree ({!Trace.merge}) *)
-      Trace.install
-        (Trace.create ~capacity:65536 ~origin:("server" ^ string_of_int id) ()));
-    let payload_elements =
-      C.num_inputs cfg.circuit + Snip.proof_num_elements cfg.circuit
-    in
-    let state =
-      Server.create ~id ~num_servers:cfg.num_servers ~master:cfg.master
-        ~trunc_len:cfg.trunc_len ~payload_elements
-    in
-    let ckpt_key = Checkpoint.derive_key ~master:cfg.master ~server_id:id in
-    (* crash recovery: resume mid-collection from the latest snapshot *)
-    (match tuning.checkpoint_dir with
-    | None -> ()
-    | Some dir ->
-      if Sys.file_exists (Checkpoint.path ~dir ~server_id:id) then begin
-        match
-          Metrics.time h_restore (fun () ->
-              Ckpt.load ~min_epoch:restore_min_epoch ~key:ckpt_key ~dir
-                ~server_id:id ())
-        with
-        | Ok snap when Array.length snap.Ckpt.accumulator = cfg.trunc_len ->
-          Ckpt.apply snap state;
-          Metrics.incr m_restores;
-          Trace.event "server.restored"
-            ~attrs:
-              [ ("server", string_of_int id);
-                ("epoch", string_of_int snap.Ckpt.epoch);
-                ("accepted", string_of_int snap.Ckpt.accepted) ]
-        | Ok _ ->
-          Metrics.incr m_restore_rejected;
-          Trace.event "server.snapshot_rejected"
-            ~attrs:
-              [ ("server", string_of_int id);
-                ("error", "accumulator width mismatch") ]
-        | Error e ->
-          (* invalid snapshot: clean epoch restart, never a crash loop *)
-          Metrics.incr m_restore_rejected;
-          Trace.event "server.snapshot_rejected"
-            ~attrs:
-              [ ("server", string_of_int id);
-                ("error", Checkpoint.string_of_error e) ]
-      end);
-    (* Leader bookkeeping for the two-phase commit: client ids whose
-       verdict is journaled here but not yet acknowledged by every
-       follower. A duplicate [V] for such an id triggers a repair
-       re-broadcast instead of a plain re-ack. *)
-    let uncommitted : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-    (* Decision journal: the write-ahead tail the snapshot has not
-       absorbed. Opened (and chain-verified) before serving; entries
-       past the snapshot's [journal_seq] watermark replay into the
-       running state — that is how a follower killed between journaling
-       a decision and the next snapshot still recovers it. *)
-    let journal : Ckpt.journal option ref = ref None in
-    let replayed = ref 0 in
-    (match tuning.checkpoint_dir with
-    | None -> ()
-    | Some dir -> (
-      let jkey =
-        Checkpoint.derive_journal_key ~master:cfg.master ~server_id:id
-      in
-      match Ckpt.journal_open ~key:jkey ~dir ~server_id:id () with
-      | Error e ->
-        (* unreadable/tampered journal: serve without it (durability
-           degraded, availability kept), same policy as a bad snapshot *)
-        Metrics.incr m_journal_errors;
-        Trace.event "server.journal_error"
-          ~attrs:
-            [ ("server", string_of_int id);
-              ("error", Checkpoint.string_of_error e) ]
-      | Ok (entries, j) ->
-        journal := Some j;
-        let floor = state.Server.journal_seq in
-        List.iter
-          (fun (e : Ckpt.journal_entry) ->
-            if
-              e.Ckpt.j_seq > floor
-              && Server.record_decision state ~client_id:e.Ckpt.j_client
-                   e.Ckpt.j_accepted
-            then begin
-              if e.Ckpt.j_accepted then Server.accumulate state e.Ckpt.j_share;
-              Metrics.incr m_journal_replayed;
-              incr replayed;
-              (* conservatively treat replayed decisions as possibly
-                 part-broadcast: a retried [V] will repair them *)
-              if id = 0 then Hashtbl.replace uncommitted e.Ckpt.j_client ();
-              Trace.event "server.journal_replayed"
-                ~attrs:
-                  [ ("server", string_of_int id);
-                    ("client", string_of_int e.Ckpt.j_client) ]
-            end)
-          entries));
-    (* the replayed records are still in the journal: count them toward
-       the next snapshot, so the journal stays within [checkpoint_every]
-       records across restarts *)
-    let decisions_since_ckpt = ref !replayed in
-    let last_ckpt_at = ref nan in
-    let write_checkpoint () =
-      match tuning.checkpoint_dir with
-      | None -> ()
-      | Some dir -> (
-        (* nested under whatever decision span is open, so checkpoint
-           writes appear inside the submission's merged trace *)
-        Trace.with_span "server.checkpoint"
-          ~attrs:[ ("server", string_of_int id) ]
-        @@ fun () ->
-        match
-          Metrics.time h_stage_checkpoint (fun () ->
-              Metrics.time h_ckpt_write (fun () ->
-                  Ckpt.save ~key:ckpt_key ~dir (Ckpt.of_server state)))
-        with
-        | Ok () ->
-          Metrics.incr m_ckpt_writes;
-          last_ckpt_at := Clock.now Clock.system;
-          (* the snapshot now carries [journal_seq], so every journaled
-             decision is absorbed: drop the journal prefix *)
-          (match !journal with
-          | None -> ()
-          | Some j -> (
-            match Ckpt.journal_truncate j with
-            | Ok () -> Metrics.incr m_journal_truncations
-            | Error e ->
-              Metrics.incr m_journal_errors;
-              Trace.event "server.journal_error"
-                ~attrs:
-                  [ ("server", string_of_int id);
-                    ("error", Checkpoint.string_of_error e) ]))
-        | Error e ->
-          (* a failed write degrades durability, not availability *)
-          Metrics.incr m_ckpt_errors;
-          Trace.event "server.checkpoint_error"
-            ~attrs:
-              [ ("server", string_of_int id);
-                ("error", Checkpoint.string_of_error e) ])
-    in
-    (* Record a verdict, then run the durability/flat-memory schedule:
-       rotate the per-submission tables every [epoch_size] decisions and
-       snapshot every [checkpoint_every] decisions (a rotation always
-       snapshots, so restarting from it cannot resurrect a closed
-       epoch). *)
-    let rotate_now () =
-      Server.rotate_epoch state;
-      decisions_since_ckpt := 0;
-      write_checkpoint ();
-      (* decisions the rotation aged out can no longer be re-acked, so
-         they can no longer be repaired either *)
-      Hashtbl.iter
-        (fun client_id () ->
-          if Server.decision state ~client_id = None then
-            Hashtbl.remove uncommitted client_id)
-        (Hashtbl.copy uncommitted)
-    in
-    (* Write-ahead the verdict: append to the decision journal (fsynced)
-       before the decision is applied or acknowledged anywhere. Returns
-       [false] only when a live journal could not take the record — the
-       caller decides whether that degrades durability (leader) or
-       availability (follower). Idempotent: an already-recorded decision
-       is already journaled. *)
-    let journal_decision ~client_id accepted share =
-      match !journal with
-      | None -> true
-      | Some j -> (
-        match Server.decision state ~client_id with
-        | Some _ -> true
-        | None -> (
-          let entry =
-            { Ckpt.j_seq = state.Server.journal_seq + 1;
-              j_client = client_id;
-              j_accepted = accepted;
-              j_epoch = state.Server.epoch;
-              (* replay only accumulates the truncated prefix *)
-              j_share =
-                (if accepted then Array.sub share 0 cfg.trunc_len else [||]) }
-          in
-          match
-            Metrics.time h_journal_fsync (fun () -> Ckpt.journal_append j entry)
-          with
-          | Ok () ->
-            Metrics.incr m_journal_appends;
-            true
-          | Error e ->
-            Metrics.incr m_journal_errors;
-            Trace.event "server.journal_error"
-              ~attrs:
-                [ ("server", string_of_int id);
-                  ("error", Checkpoint.string_of_error e) ];
-            false))
-    in
-    let finish_decision ~client_id verdict =
-      ignore (Server.record_decision state ~client_id verdict : bool);
-      if
-        tuning.epoch_size > 0
-        && state.Server.decided_in_epoch >= tuning.epoch_size
-      then rotate_now ()
-      else begin
-        incr decisions_since_ckpt;
-        if !decisions_since_ckpt >= tuning.checkpoint_every then begin
-          decisions_since_ckpt := 0;
-          write_checkpoint ()
-        end
-      end
-    in
-    let ctx =
-      Snip.make_batch_ctx
-        ~rng:(Rng.of_seed cfg.batch_seed)
-        ~circuit:cfg.circuit ~num_servers:cfg.num_servers
-    in
-    let pending : (int, pending) Hashtbl.t = Hashtbl.create 64 in
-    let note_depth () =
-      Metrics.set g_pending (float_of_int (Hashtbl.length pending))
-    in
-    (* Multicore verification: the heavy communication-free step
-       (circuit walk + three polynomial evaluations) runs on this pool.
-       With [verify_domains = 1] the pool is inline and preparation
-       happens lazily at gossip time, exactly as before; with more
-       domains, preparation is queued the moment an upload lands, so it
-       overlaps with the event loop's frame handling and with the other
-       submissions' preparation. Created here — after the fork — so the
-       worker domains belong to this server process. *)
-    let pool = Pool.create ~domains:tuning.verify_domains in
-    let eager = Pool.size pool > 1 in
-    let prepare_pending (p : pending) : Snip.server_state * Snip.opening =
-      match p.prep with
-      | Some fut -> Pool.await fut
-      | None ->
-        Snip.server_prepare ctx (Snip.submission_of_vector cfg.circuit p.share)
-    in
+    type pending = {
+      share : F.t array;
+      mutable state : Snip.server_state option;
+    }
+
+    type t = {
+      cfg : config;
+      tuning : tuning;
+      fx : effects;
+      server : Server.t;
+      ctx : Snip.batch_ctx;
+      pending : (int, pending) Hashtbl.t;
+      (* Leader bookkeeping for the two-phase commit: client ids whose
+         verdict is journaled here but not yet acknowledged by every
+         follower. A duplicate [V] for such an id triggers a repair
+         re-broadcast instead of a plain re-ack. *)
+      uncommitted : (int, unit) Hashtbl.t;
+      mutable since_ckpt : int;  (** decisions since the last snapshot *)
+    }
+
+    let create ~tuning cfg ~id fx =
+      { cfg; tuning; fx;
+        server =
+          Server.create ~id ~num_servers:cfg.num_servers ~master:cfg.master
+            ~trunc_len:cfg.trunc_len
+            ~payload_elements:
+              (C.num_inputs cfg.circuit + Snip.proof_num_elements cfg.circuit);
+        ctx =
+          Snip.make_batch_ctx ~rng:(Rng.of_seed cfg.batch_seed)
+            ~circuit:cfg.circuit ~num_servers:cfg.num_servers;
+        pending = Hashtbl.create 64; uncommitted = Hashtbl.create 16;
+        since_ckpt = 0 }
+
+    let server t = t.server
+    let depth t = Hashtbl.length t.pending
+    let id t = t.server.Server.id
+
+    let note_depth t = Metrics.set g_pending (float_of_int (depth t))
+
     (* span attributes naming this server and the submission at hand *)
-    let attrs client_id =
-      [ ("server", string_of_int id); ("client", string_of_int client_id) ]
-    in
+    let attrs t client_id =
+      [ ("server", string_of_int (id t)); ("client", string_of_int client_id) ]
+
+    (* Journal entries past the restored snapshot's [journal_seq]
+       watermark replay into the running state — that is how a server
+       killed between journaling a decision and the next snapshot still
+       recovers it. *)
+    let replay t entries =
+      let floor = t.server.Server.journal_seq in
+      List.iter
+        (fun e ->
+          if
+            e.Ckpt.j_seq > floor
+            && Server.record_decision t.server ~client_id:e.Ckpt.j_client
+                 e.Ckpt.j_accepted
+          then begin
+            if e.Ckpt.j_accepted then Server.accumulate t.server e.Ckpt.j_share;
+            Metrics.incr m_journal_replayed;
+            (* the replayed record is still in the journal: count it
+               toward the next snapshot, so the journal stays within
+               [checkpoint_every] records across restarts *)
+            t.since_ckpt <- t.since_ckpt + 1;
+            (* conservatively treat replayed decisions as possibly
+               part-broadcast: a retried [V] will repair them *)
+            if id t = 0 then Hashtbl.replace t.uncommitted e.Ckpt.j_client ();
+            Trace.event "server.journal_replayed"
+              ~attrs:(attrs t e.Ckpt.j_client)
+          end)
+        entries
+
+    (* Write-ahead the verdict: append to the decision journal before the
+       decision is applied or acknowledged anywhere. Returns [false] only
+       when the journal could not take the record — the caller decides
+       whether that degrades durability (leader) or availability
+       (follower). Idempotent: an already-recorded decision is already
+       journaled. *)
+    let journal_decision t ~client_id accepted share =
+      match Server.decision t.server ~client_id with
+      | Some _ -> true
+      | None ->
+        t.fx.journal
+          { Ckpt.j_seq = t.server.Server.journal_seq + 1;
+            j_client = client_id;
+            j_accepted = accepted;
+            j_epoch = t.server.Server.epoch;
+            (* replay only accumulates the truncated prefix *)
+            j_share =
+              (if accepted then Array.sub share 0 t.cfg.trunc_len else [||]) }
+
     (* The one decision path, run once [journal_decision] has written the
        verdict ahead: [apply] folds an accepted share into the
        accumulator (a reject has nothing to fold), and [retire] drops the
        submission from the admission queue and records its verdict.
        Streaming aggregation: the share drops with the pending entry, so
-       nothing per-submission outlives the decision. *)
-    let apply ?ctx ~client_id share =
-      Trace.with_span_ctx ?ctx "server.aggregate" ~attrs:(attrs client_id)
+       nothing per-submission outlives the decision. [retire] then runs
+       the durability/flat-memory schedule: rotate the per-submission
+       tables every [epoch_size] decisions and snapshot every
+       [checkpoint_every] decisions (a rotation always snapshots, so
+       restarting from it cannot resurrect a closed epoch). *)
+    let apply ?ctx t ~client_id share =
+      Trace.with_span_ctx ?ctx "server.aggregate" ~attrs:(attrs t client_id)
       @@ fun () ->
-      Metrics.time h_stage_aggregate (fun () -> Server.accumulate state share)
-    in
-    let retire ~client_id verdict =
-      Hashtbl.remove pending client_id;
-      note_depth ();
-      finish_decision ~client_id verdict
-    in
-    let nf = if id = 0 then Array.length follower_addrs else 0 in
-    (* leader: persistent connections to followers, redialed on demand *)
-    let followers =
-      Links.create ~tuning ~retry_refused:true (Array.sub follower_addrs 0 nf)
-    in
-    for j = 0 to nf - 1 do
-      ignore (Links.connect followers j)
-    done;
-    let reply fd payload =
-      match
-        write_frame ~deadline:(Retry.after tuning.io_timeout) fd payload
-      with
-      | Ok () | Error _ -> ()
-      (* a client that vanished mid-reply is cleaned up on its next read *)
-    in
-    let reply_error fd code detail = reply fd (error_frame code detail) in
-    let ack accepted = tagged (if accepted then 'K' else 'R') Bytes.empty in
-    let reply_commit_pending fd =
-      reply_error fd Commit_pending "decision journaled, follower ack outstanding"
-    in
-    (* One follower's leg of a leader round, split so the leader can write
-       to every follower before reading from any. A failure on a *cached*
-       link may just mean the peer restarted since we last spoke (stale
-       persistent connection): the link is dropped, and the exchange is
-       redone once over a fresh dial. A failure on a connection we just
-       established is authoritative — the follower really is down.
-       [Ok (fd, retry)]: the request is out; [retry] says the link was
-       cached, so a failed read may still redial and resend once. *)
-    let post j payload =
-      let cached = Links.cached followers j in
-      match Links.post followers j payload with
-      | Ok (fd, _) -> Ok (fd, cached)
-      | Error _ when cached ->
-        Result.map (fun (fd, _) -> (fd, false)) (Links.post followers j payload)
-      | Error e -> Error e
-    in
-    (* the reply deadline runs from the read, not the write: the leader
-       works on its own share in between *)
-    let read j fd =
-      Links.read followers j ~deadline:(Retry.after tuning.io_timeout) fd
-    in
-    let collect j payload = function
-      | Error e -> Error e
-      | Ok (fd, retry) -> (
-        match read j fd with
-        | Error _ when retry ->
-          Result.bind (Links.post followers j payload) (fun (fd, _) ->
-              read j fd)
-        | r -> r)
-    in
-    (* Scatter-gather one leader round: write [payload] to every follower
-       but [skip], run the leader's own step [local] while they work, then
-       read every reply in follower order — all of them, even after a
-       failure, so no link is left holding an unread reply. The followers'
-       SNIP work and journal fsyncs overlap instead of adding up. *)
-    let broadcast ?skip payload local =
-      let posted =
-        Array.init nf (fun j ->
-            if skip = Some j then None else Some (post j payload))
+      Metrics.time h_stage_aggregate (fun () ->
+          Server.accumulate t.server share)
+
+    let retire t ~client_id verdict =
+      Hashtbl.remove t.pending client_id;
+      note_depth t;
+      ignore (Server.record_decision t.server ~client_id verdict : bool);
+      let rotate =
+        t.tuning.epoch_size > 0
+        && t.server.Server.decided_in_epoch >= t.tuning.epoch_size
       in
+      if rotate then begin
+        Server.rotate_epoch t.server;
+        (* decisions the rotation aged out can no longer be re-acked, so
+           they can no longer be repaired either *)
+        Hashtbl.iter
+          (fun client_id () ->
+            if Server.decision t.server ~client_id = None then
+              Hashtbl.remove t.uncommitted client_id)
+          (Hashtbl.copy t.uncommitted)
+      end;
+      t.since_ckpt <- t.since_ckpt + 1;
+      if rotate || t.since_ckpt >= t.tuning.checkpoint_every then begin
+        t.since_ckpt <- 0;
+        t.fx.snapshot t.server
+      end
+
+    let prepare t (p : pending) =
+      Snip.server_prepare t.ctx
+        (Snip.submission_of_vector t.cfg.circuit p.share)
+
+    (* One leader round: post [payload] to every follower but [skip], run
+       the leader's own step [local] while they work, then gather every
+       reply. The followers' SNIP work and journal appends overlap instead
+       of adding up. *)
+    let broadcast t ?skip payload local =
+      let gather = t.fx.scatter ?skip payload in
       let mine = local () in
-      (mine, Array.mapi (fun j p -> Option.map (collect j payload) p) posted)
-    in
-    let pair_bytes a b = Bytes.cat (F.to_bytes a) (F.to_bytes b) in
-    let has_tag c r = Bytes.length r > 0 && Bytes.get r 0 = c in
+      (mine, gather ())
+
+    let pair_bytes a b = Bytes.cat (F.to_bytes a) (F.to_bytes b)
+    let has_tag c r = Bytes.length r > 0 && Bytes.get r 0 = c
+    let ack accepted = tagged (if accepted then 'K' else 'R') Bytes.empty
+
     (* gossip and decision frames carry the leader's open verify span as
        context, so every follower's spans join the client's trace *)
-    let id_ctx client_id = Bytes.cat (put_u32 client_id) (ctx_bytes ()) in
+    let id_ctx client_id = Bytes.cat (put_u32 client_id) (ctx_bytes ())
+
     (* Two-phase decision broadcast: send [a]/[r] to the followers and
        wait for each [c] commit ack, meaning that follower journaled the
        verdict before replying. [true] only when every follower sent a
        genuine ack. An [E] reply (e.g. the follower's journal is failing)
        keeps the connection; any other reply means the streams are
        desynced. *)
-    let commit_all ?skip ~client_id accepted local =
+    let commit_all t ?skip ~client_id accepted local =
       let (), replies =
-        broadcast ?skip
+        broadcast t ?skip
           (tagged (if accepted then 'a' else 'r') (id_ctx client_id))
           local
       in
@@ -1101,13 +913,13 @@ module Make (F : Prio_field.Field_intf.S) = struct
           | Some (Ok r) when has_tag 'c' r -> Metrics.incr m_commit_acks
           | Some r ->
             (match r with
-            | Ok r when not (has_tag 'E' r) -> Links.drop followers j
+            | Ok r when not (has_tag 'E' r) -> t.fx.drop j
             | Ok _ | Error _ -> ());
             Metrics.incr m_commit_failures;
             all_acked := false)
         replies;
       !all_acked
-    in
+
     (* The leader's commit point, for a verdict and for a degraded abort
        alike: write-ahead the verdict before any [a]/[r] goes out (a
        journal failure here degrades durability, like a failed checkpoint
@@ -1118,23 +930,23 @@ module Make (F : Prio_field.Field_intf.S) = struct
        client's resubmission. [journal_decision] is idempotent against an
        already-recorded verdict, so a repeated abort (client retry after
        a degraded round) cannot journal a contradictory decision. *)
-    let commit ?skip ~client_id accepted share =
-      ignore (journal_decision ~client_id accepted share : bool);
-      commit_all ?skip ~client_id accepted (fun () ->
-          if accepted then apply ~client_id share)
-    in
+    let commit t ?skip ~client_id accepted share =
+      ignore (journal_decision t ~client_id accepted share : bool);
+      commit_all t ?skip ~client_id accepted (fun () ->
+          if accepted then apply t ~client_id share)
+
     (* leader: drive the two SNIP gossip rounds for one pending client.
        Any follower failure aborts just this submission (a journaled,
        acked [r] broadcast to the other followers) and reports the first
        failed follower, so the leader can degrade instead of dying. *)
-    let verify client_id (p : pending) =
+    let verify t client_id (p : pending) =
       let exception Degraded of int * protocol_error in
       try
         let expect_pair j tag = function
           | Error err -> Error err
           | Ok r -> (
             let bad why =
-              Links.drop followers j;
+              t.fx.drop j;
               Error (Bad_frame why)
             in
             if Bytes.length r = 0 then bad "empty gossip reply"
@@ -1167,183 +979,176 @@ module Make (F : Prio_field.Field_intf.S) = struct
         let id_ctx = id_ctx client_id in
         (* round 1: followers open while the leader prepares its share *)
         let (my_state, my_opening), replies =
-          broadcast (tagged 'o' id_ctx) (fun () -> prepare_pending p)
+          broadcast t (tagged 'o' id_ctx) (fun () -> prepare t p)
         in
         let d, e =
           sum_pairs 'O' (my_opening.Snip.d, my_opening.Snip.e) replies
         in
         (* round 2: broadcast sums; followers decide alongside the leader *)
         let my_verdict, replies =
-          broadcast
+          broadcast t
             (tagged 'd' (Bytes.cat id_ctx (pair_bytes d e)))
-            (fun () -> Snip.server_decide_share ctx my_state ~d ~e)
+            (fun () -> Snip.server_decide_share t.ctx my_state ~d ~e)
         in
         let sigma, zero =
           sum_pairs 'S' (my_verdict.Snip.sigma, my_verdict.Snip.zero) replies
         in
         let accepted = F.is_zero sigma && F.is_zero zero in
-        Ok (accepted, commit ~client_id accepted p.share)
+        Ok (accepted, commit t ~client_id accepted p.share)
       with Degraded (j, err) ->
-        ignore (commit ~skip:j ~client_id false p.share : bool);
+        ignore (commit t ~skip:j ~client_id false p.share : bool);
         Error (j, err)
-    in
-    let handle_frame fd frame =
-      (* [`Keep] the connection or [`Close] it (stream desynced / hostile) *)
-      let need len k =
-        if Bytes.length frame < len then begin
-          reply_error fd Malformed_frame "short frame";
-          `Close
-        end
-        else k ()
+
+    let commit_pending () =
+      error_frame Commit_pending "decision journaled, follower ack outstanding"
+
+    (* One protocol frame in, its reply out, plus whether the connection
+       stays open ([`Close]: the stream is desynced or hostile). Every
+       frame but [Q] opens with client_id ‖ ctx. *)
+    let handle t frame =
+      let client len k =
+        if Bytes.length frame < len then
+          (error_frame Malformed_frame "short frame", `Close)
+        else
+          let tctx, off = get_ctx frame 5 in
+          (k (get_u32 frame 1) tctx off, `Keep)
       in
       match Bytes.get frame 0 with
+      | exception Invalid_argument _ ->
+        (error_frame Malformed_frame "empty frame", `Close)
       | 'P' ->
-        need 7 (fun () ->
-            let client_id = get_u32 frame 1 in
-            let tctx, off = get_ctx frame 5 in
+        client 7 (fun client_id tctx off ->
             let sealed = Bytes.sub frame off (Bytes.length frame - off) in
-            Trace.with_span_ctx ?ctx:tctx "server.admit" ~attrs:(attrs client_id)
+            Trace.with_span_ctx ?ctx:tctx "server.admit"
+              ~attrs:(attrs t client_id)
             @@ fun () ->
             Metrics.time h_stage_admit @@ fun () ->
-            (match Server.decision state ~client_id with
+            match Server.decision t.server ~client_id with
             | Some accepted ->
               (* duplicate of a finished submission: idempotent re-ack *)
-              reply fd (ack accepted)
+              ack accepted
             | None ->
-              if Hashtbl.mem pending client_id then
+              if Hashtbl.mem t.pending client_id then
                 (* duplicate of an in-flight upload (lost ack): re-ack
                    rather than replay-reject and corrupt the retry *)
-                reply fd (tagged 'K' Bytes.empty)
-              else if Hashtbl.length pending >= tuning.max_pending then begin
+                tagged 'K' Bytes.empty
+              else if depth t >= t.tuning.max_pending then begin
                 (* bounded admission queue: shed the upload with a
                    retryable refusal instead of growing without limit —
                    the client's backoff schedule absorbs the burst *)
                 Metrics.incr m_shed;
-                Trace.event "server.shed" ~attrs:(attrs client_id);
-                reply_error fd Busy "admission queue full"
+                Trace.event "server.shed" ~attrs:(attrs t client_id);
+                error_frame Busy "admission queue full"
               end
               else (
-                match Server.receive state ~client_id sealed with
-                | None -> reply fd (tagged 'R' Bytes.empty)
+                match Server.receive t.server ~client_id sealed with
+                | None -> tagged 'R' Bytes.empty
                 | Some (_, share) ->
-                  let p = { share; state = None; prep = None } in
-                  Hashtbl.replace pending client_id p;
-                  note_depth ();
-                  if eager then
-                    p.prep <-
-                      Some
-                        (Pool.submit pool (fun () ->
-                             Snip.server_prepare ctx
-                               (Snip.submission_of_vector cfg.circuit p.share)));
-                  reply fd (tagged 'K' Bytes.empty)));
-            `Keep)
+                  Hashtbl.replace t.pending client_id { share; state = None };
+                  note_depth t;
+                  tagged 'K' Bytes.empty))
       | 'V' ->
-        need 5 (fun () ->
-            let client_id = get_u32 frame 1 in
-            let tctx, _ = get_ctx frame 5 in
-            Trace.with_span_ctx ?ctx:tctx "server.verify" ~attrs:(attrs client_id)
+        client 5 (fun client_id tctx _ ->
+            Trace.with_span_ctx ?ctx:tctx "server.verify"
+              ~attrs:(attrs t client_id)
             @@ fun () ->
-            (if id <> 0 then reply_error fd Unavailable "not the leader"
-             else
-               match Server.decision state ~client_id with
-               | Some accepted when Hashtbl.mem uncommitted client_id ->
-                 (* the verdict is journaled here but some follower never
-                    acked it (crash mid-broadcast, or replayed from the
-                    journal after a leader restart): repair by re-running
-                    the acked broadcast before re-acking the client *)
-                 if commit_all ~client_id accepted ignore then begin
-                   Hashtbl.remove uncommitted client_id;
-                   Metrics.incr m_commit_repairs;
-                   Trace.event "server.commit_repaired"
-                     ~attrs:[ ("client", string_of_int client_id) ];
-                   reply fd (ack accepted)
-                 end
-                 else reply_commit_pending fd
-               | Some accepted -> reply fd (ack accepted)
-               | None -> (
-                 match Hashtbl.find_opt pending client_id with
-                 | None ->
-                   reply_error fd Unknown_client (string_of_int client_id)
-                 | Some p -> (
-                   let verdict =
-                     Metrics.time h_stage_verify (fun () -> verify client_id p)
-                   in
-                   retire ~client_id
-                     (match verdict with Ok (a, _) -> a | Error _ -> false);
-                   match verdict with
-                   | Ok (accepted, true) -> reply fd (ack accepted)
-                   | Ok (_, false) ->
-                     (* partial broadcast: the verdict is durable here but
-                        not everywhere — make the client come back
-                        ([Commit_pending] drives a resubmission) and
-                        remember to repair on that retry *)
-                     Hashtbl.replace uncommitted client_id ();
-                     reply_commit_pending fd
-                   | Error (j, err) ->
-                     (* graceful degradation: this submission is cleanly
-                        rejected, the leader keeps serving *)
-                     reply_error fd Unavailable
-                       (Printf.sprintf "follower %d: %s" (j + 1)
-                          (string_of_protocol_error err)))));
-            `Keep)
+            if id t <> 0 then error_frame Unavailable "not the leader"
+            else
+              match Server.decision t.server ~client_id with
+              | Some accepted when Hashtbl.mem t.uncommitted client_id ->
+                (* the verdict is journaled here but some follower never
+                   acked it (crash mid-broadcast, or replayed from the
+                   journal after a leader restart): repair by re-running
+                   the acked broadcast before re-acking the client *)
+                if commit_all t ~client_id accepted ignore then begin
+                  Hashtbl.remove t.uncommitted client_id;
+                  Metrics.incr m_commit_repairs;
+                  Trace.event "server.commit_repaired"
+                    ~attrs:[ ("client", string_of_int client_id) ];
+                  ack accepted
+                end
+                else commit_pending ()
+              | Some accepted -> ack accepted
+              | None -> (
+                match Hashtbl.find_opt t.pending client_id with
+                | None ->
+                  (* no verdict and no share: the client only verifies
+                     once every server acked its upload, so this leader
+                     lost the share in a restart before journaling a
+                     verdict — no server holds one. A resubmission
+                     re-seeds the share; refusing would lose it. *)
+                  error_frame Commit_pending "no pending share; resubmit"
+                | Some p -> (
+                  let verdict =
+                    Metrics.time h_stage_verify (fun () -> verify t client_id p)
+                  in
+                  retire t ~client_id
+                    (match verdict with Ok (a, _) -> a | Error _ -> false);
+                  match verdict with
+                  | Ok (accepted, true) -> ack accepted
+                  | Ok (_, false) ->
+                    (* partial broadcast: the verdict is durable here but
+                       not everywhere — make the client come back
+                       ([Commit_pending] drives a resubmission) and
+                       remember to repair on that retry *)
+                    Hashtbl.replace t.uncommitted client_id ();
+                    commit_pending ()
+                  | Error (j, err) ->
+                    (* graceful degradation: this submission is cleanly
+                       rejected, the leader keeps serving *)
+                    error_frame Unavailable
+                      (Printf.sprintf "follower %d: %s" (j + 1)
+                         (string_of_protocol_error err)))))
       | 'o' ->
-        need 5 (fun () ->
-            let client_id = get_u32 frame 1 in
-            let tctx, _ = get_ctx frame 5 in
-            (match Hashtbl.find_opt pending client_id with
-            | None -> reply_error fd Unknown_client (string_of_int client_id)
+        client 5 (fun client_id tctx _ ->
+            match Hashtbl.find_opt t.pending client_id with
+            | None -> error_frame Unknown_client (string_of_int client_id)
             | Some p ->
               (* follower's share of the verify stage, joined to the
                  leader's span via the gossip-frame context *)
               Trace.with_span_ctx ?ctx:tctx "server.verify"
-                ~attrs:(attrs client_id)
+                ~attrs:(attrs t client_id)
               @@ fun () ->
               let st, opening =
-                Metrics.time h_stage_verify (fun () -> prepare_pending p)
+                Metrics.time h_stage_verify (fun () -> prepare t p)
               in
               p.state <- Some st;
-              reply fd (tagged 'O' (pair_bytes opening.Snip.d opening.Snip.e)));
-            `Keep)
+              tagged 'O' (pair_bytes opening.Snip.d opening.Snip.e))
       | 'd' ->
-        need 5 (fun () ->
-            let client_id = get_u32 frame 1 in
-            let tctx, off = get_ctx frame 5 in
-            (match W.field_pair_opt frame ~off with
-            | None -> reply_error fd Malformed_frame "bad (d,e) payload"
+        client 5 (fun client_id tctx off ->
+            match W.field_pair_opt frame ~off with
+            | None -> error_frame Malformed_frame "bad (d,e) payload"
             | Some (d, e) -> (
-              match Hashtbl.find_opt pending client_id with
-              | None ->
-                reply_error fd Unknown_client (string_of_int client_id)
+              match Hashtbl.find_opt t.pending client_id with
+              | None -> error_frame Unknown_client (string_of_int client_id)
               | Some { state = None; _ } ->
-                reply_error fd Malformed_frame "decide before opening"
+                error_frame Malformed_frame "decide before opening"
               | Some { state = Some st; _ } ->
                 Trace.with_span_ctx ?ctx:tctx "server.decide"
-                  ~attrs:(attrs client_id)
+                  ~attrs:(attrs t client_id)
                 @@ fun () ->
                 let v =
                   Metrics.time h_stage_verify (fun () ->
-                      Snip.server_decide_share ctx st ~d ~e)
+                      Snip.server_decide_share t.ctx st ~d ~e)
                 in
-                reply fd (tagged 'S' (pair_bytes v.Snip.sigma v.Snip.zero))));
-            `Keep)
+                tagged 'S' (pair_bytes v.Snip.sigma v.Snip.zero)))
       | ('a' | 'r') as tag ->
-        need 5 (fun () ->
-            let client_id = get_u32 frame 1 in
-            let tctx, _ = get_ctx frame 5 in
+        client 5 (fun client_id tctx _ ->
             let accepted = tag = 'a' in
-            (match
-               (Server.decision state ~client_id, Hashtbl.find_opt pending client_id)
-             with
+            match
+              ( Server.decision t.server ~client_id,
+                Hashtbl.find_opt t.pending client_id )
+            with
             | Some _, _ ->
               (* already journaled and applied (the previous ack was
                  lost): re-ack, never re-accumulate *)
-              reply fd (tagged 'c' Bytes.empty)
+              tagged 'c' Bytes.empty
             | None, None when accepted ->
               (* no share to aggregate: the upload never landed (or a
                  restart dropped it). Refusing the ack makes the leader
                  report [Commit_pending]; the client's resubmission
                  re-seeds the share and the retried broadcast heals. *)
-              reply_error fd Unknown_client (string_of_int client_id)
+              error_frame Unknown_client (string_of_int client_id)
             | None, p ->
               (* two-phase commit: journal first (write-ahead), then apply
                  the verdict and ack with [c]. If the journal cannot take
@@ -1352,22 +1157,204 @@ module Make (F : Prio_field.Field_intf.S) = struct
                  needs no share, so it also settles an upload that never
                  landed. *)
               let share = match p with Some p -> p.share | None -> [||] in
-              if not (journal_decision ~client_id accepted share) then
-                reply_error fd Unavailable "decision journal failed"
+              if not (journal_decision t ~client_id accepted share) then
+                error_frame Unavailable "decision journal failed"
               else begin
-                if accepted then apply ?ctx:tctx ~client_id share
+                if accepted then apply ?ctx:tctx t ~client_id share
                 else
                   (* nothing to fold: the span marks, in the leader's
                      trace, where this follower dropped the share *)
                   Trace.with_span_ctx ?ctx:tctx "server.discard"
-                    ~attrs:(attrs client_id) ignore;
-                retire ~client_id accepted;
-                reply fd (tagged 'c' Bytes.empty)
-              end);
-            `Keep)
-      | 'Q' ->
-        reply fd (tagged 'A' (W.vector_to_bytes (Server.publish state)));
-        `Keep
+                    ~attrs:(attrs t client_id) ignore;
+                retire t ~client_id accepted;
+                tagged 'c' Bytes.empty
+              end)
+      | 'Q' -> (tagged 'A' (W.vector_to_bytes (Server.publish t.server)), `Keep)
+      | c -> (error_frame Unknown_tag (Printf.sprintf "%C" c), `Close)
+  end
+
+  (** Run one server's event loop, the TCP driver around a {!Node}, until
+      an [X] frame arrives. [listen_fd] must already be bound and
+      listening (so the caller knows the port). The leader (id 0)
+      additionally dials the followers — lazily redialing ones that died
+      and came back. [faults], if given, sits on this server's
+      frame-receive path (and may [Crash] the process).
+
+      With [tuning.checkpoint_dir] set, the server resumes from its
+      latest valid snapshot at startup (rejecting anything corrupted,
+      truncated, stale below [restore_min_epoch], or keyed to a different
+      master — those fall back to a clean epoch restart), replays the
+      decision-journal suffix, and persists a new snapshot every
+      [checkpoint_every] decisions. *)
+  let serve ?(tuning = default_tuning) ?faults ?(restore_min_epoch = 0) cfg
+      ~id ~(listen_fd : Unix.file_descr)
+      ~(follower_addrs : Unix.sockaddr array) =
+    ignore_sigpipe ();
+    (* this process's registry answers the live scrape: zero whatever the
+       forking parent had accumulated, and time stages on the system
+       clock even if the parent had installed a manual one *)
+    Metrics.reset ();
+    Metrics.set_clock Clock.system;
+    (match tuning.trace_dir with
+    | None -> ()
+    | Some _ ->
+      (* own recorder, origin-labeled so per-process dumps merge into one
+         cross-process tree ({!Trace.merge}) *)
+      Trace.install
+        (Trace.create ~capacity:65536 ~origin:("server" ^ string_of_int id) ()));
+    let ckpt_key = Checkpoint.derive_key ~master:cfg.master ~server_id:id in
+    (* a durability failure is counted and traced, never fatal *)
+    let failed counter event why =
+      Metrics.incr counter;
+      Trace.event event ~attrs:[ ("server", string_of_int id); ("error", why) ]
+    in
+    let journal_error e =
+      failed m_journal_errors "server.journal_error"
+        (Checkpoint.string_of_error e)
+    in
+    (* Decision journal: the write-ahead tail the snapshot has not
+       absorbed, opened (and chain-verified) below, before serving. *)
+    let journal : Ckpt.journal option ref = ref None in
+    let last_ckpt_at = ref nan in
+    let write_checkpoint state =
+      match tuning.checkpoint_dir with
+      | None -> ()
+      | Some dir -> (
+        (* nested under whatever decision span is open, so checkpoint
+           writes appear inside the submission's merged trace *)
+        Trace.with_span "server.checkpoint"
+          ~attrs:[ ("server", string_of_int id) ]
+        @@ fun () ->
+        match
+          Metrics.time h_stage_checkpoint (fun () ->
+              Metrics.time h_ckpt_write (fun () ->
+                  Ckpt.save ~key:ckpt_key ~dir (Ckpt.of_server state)))
+        with
+        | Ok () -> (
+          Metrics.incr m_ckpt_writes;
+          last_ckpt_at := Clock.now Clock.system;
+          (* the snapshot now carries [journal_seq], so every journaled
+             decision is absorbed: drop the journal prefix *)
+          match Option.map Ckpt.journal_truncate !journal with
+          | None -> ()
+          | Some (Ok ()) -> Metrics.incr m_journal_truncations
+          | Some (Error e) -> journal_error e)
+        | Error e ->
+          (* a failed write degrades durability, not availability *)
+          failed m_ckpt_errors "server.checkpoint_error"
+            (Checkpoint.string_of_error e))
+    in
+    (* the journal fsyncs each record: durable before anyone is acked *)
+    let append entry =
+      match !journal with
+      | None -> true
+      | Some j -> (
+        match
+          Metrics.time h_journal_fsync (fun () -> Ckpt.journal_append j entry)
+        with
+        | Ok () ->
+          Metrics.incr m_journal_appends;
+          true
+        | Error e ->
+          journal_error e;
+          false)
+    in
+    let nf = if id = 0 then Array.length follower_addrs else 0 in
+    (* leader: persistent connections to followers, redialed on demand *)
+    let followers =
+      Links.create ~tuning ~retry_refused:true (Array.sub follower_addrs 0 nf)
+    in
+    (* One follower's leg of a leader round, split so the leader can write
+       to every follower before reading from any: the request goes out
+       now, the returned thunk reads the reply. A failure on a *cached*
+       link may just mean the peer restarted since we last spoke (stale
+       persistent connection): the link is dropped, and the exchange is
+       redone once over a fresh dial. A failure on a connection we just
+       established is authoritative — the follower really is down. The
+       reply deadline runs from the read, not the write: the leader works
+       on its own share in between. *)
+    let leg j payload =
+      let cached = Links.cached followers j in
+      let redo () = Links.post followers j payload in
+      let read (fd, _) =
+        Links.read followers j ~deadline:(Retry.after tuning.io_timeout) fd
+      in
+      match Links.post followers j payload with
+      | Ok p -> (
+        fun () ->
+          match read p with
+          | Error _ when cached -> Result.bind (redo ()) read
+          | r -> r)
+      | Error _ when cached ->
+        let p = redo () in
+        fun () -> Result.bind p read
+      | Error e -> fun () -> Error e
+    in
+    (* read every reply in follower order — all of them, even after a
+       failure, so no link is left holding an unread reply *)
+    let scatter ?skip payload =
+      let legs =
+        Array.init nf (fun j ->
+            if skip = Some j then None else Some (leg j payload))
+      in
+      fun () -> Array.map (Option.map (fun gather -> gather ())) legs
+    in
+    let node =
+      Node.create ~tuning cfg ~id
+        { scatter;
+          drop = Links.drop followers;
+          journal = append;
+          snapshot = write_checkpoint }
+    in
+    let state = Node.server node in
+    (* crash recovery: resume mid-collection from the latest snapshot, then
+       replay the journal suffix past its watermark *)
+    (match tuning.checkpoint_dir with
+    | None -> ()
+    | Some dir -> (
+      (if Sys.file_exists (Checkpoint.path ~dir ~server_id:id) then
+         match
+           Metrics.time h_restore (fun () ->
+               Ckpt.load ~min_epoch:restore_min_epoch ~key:ckpt_key ~dir
+                 ~server_id:id ())
+         with
+         | Ok snap when Array.length snap.Ckpt.accumulator = cfg.trunc_len ->
+           Ckpt.apply snap state;
+           Metrics.incr m_restores;
+           Trace.event "server.restored"
+             ~attrs:
+               [ ("server", string_of_int id);
+                 ("epoch", string_of_int snap.Ckpt.epoch);
+                 ("accepted", string_of_int snap.Ckpt.accepted) ]
+         | Ok _ ->
+           failed m_restore_rejected "server.snapshot_rejected"
+             "accumulator width mismatch"
+         | Error e ->
+           (* invalid snapshot: clean epoch restart, never a crash loop *)
+           failed m_restore_rejected "server.snapshot_rejected"
+             (Checkpoint.string_of_error e));
+      let jkey =
+        Checkpoint.derive_journal_key ~master:cfg.master ~server_id:id
+      in
+      match Ckpt.journal_open ~key:jkey ~dir ~server_id:id () with
+      | Error e ->
+        (* unreadable/tampered journal: serve without it (durability
+           degraded, availability kept), same policy as a bad snapshot *)
+        journal_error e
+      | Ok (entries, j) ->
+        journal := Some j;
+        Node.replay node entries));
+    for j = 0 to nf - 1 do
+      ignore (Links.connect followers j)
+    done;
+    (* a client that vanished mid-reply is cleaned up on its next read *)
+    let reply fd payload =
+      ignore (write_frame ~deadline:(Retry.after tuning.io_timeout) fd payload)
+    in
+    (* the monitor and controller frames; every other frame is the
+       protocol's. The reply, and whether to [`Keep] the connection *)
+    let handle_frame frame =
+      match Bytes.get frame 0 with
       | 'q' ->
         (* live metrics scrape: render this process's registry on demand;
            format byte 'j' = JSON snapshot, anything else = Prometheus *)
@@ -1376,33 +1363,29 @@ module Make (F : Prio_field.Field_intf.S) = struct
             Report.json ()
           else Report.prometheus ()
         in
-        reply fd (tagged 'm' (Bytes.of_string text));
-        `Keep
+        (tagged 'm' (Bytes.of_string text), `Keep)
       | 'h' ->
         let age =
           if Float.is_nan !last_ckpt_at then None
           else Some (Clock.now Clock.system -. !last_ckpt_at)
         in
         let peers = List.init nf (fun j -> (j + 1, Links.cached followers j)) in
-        reply fd
-          (tagged 'H'
-             (health_to_bytes
-                {
-                  h_server = id;
-                  h_epoch = state.Server.epoch;
-                  h_pending = Hashtbl.length pending;
-                  h_accepted = state.Server.accepted;
-                  h_ckpt_age = age;
-                  h_peers = peers;
-                }));
-        `Keep
+        ( tagged 'H'
+            (health_to_bytes
+               {
+                 h_server = id;
+                 h_epoch = state.Server.epoch;
+                 h_pending = Node.depth node;
+                 h_accepted = state.Server.accepted;
+                 h_ckpt_age = age;
+                 h_peers = peers;
+               }),
+          `Keep )
       | 'X' -> raise Exit
-      | c ->
-        reply_error fd Unknown_tag (Printf.sprintf "%C" c);
-        `Close
+      | _ | (exception Invalid_argument _) -> Node.handle node frame
     in
-    (* select loop over the listener and all live connections; finite
-       tick so the loop never wedges on a dead peer *)
+    (* select loop over the listener and all live connections; it blocks
+       until one is readable — nothing runs on a timer *)
     let conns = ref [] in
     let close_conn fd =
       close_quietly fd;
@@ -1410,9 +1393,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
     in
     (try
        while true do
-         match
-           Unix.select (listen_fd :: !conns) [] [] tuning.select_tick
-         with
+         match Unix.select (listen_fd :: !conns) [] [] (-1.) with
          | exception Unix.Unix_error (EINTR, _, _) -> ()
          | readable, _, _ ->
            List.iter
@@ -1428,10 +1409,10 @@ module Make (F : Prio_field.Field_intf.S) = struct
                  let deadline = Retry.after tuning.io_timeout in
                  match read_frame ~deadline fd with
                  | Error (Frame_oversize n) ->
-                   reply_error fd Too_large (string_of_int n);
+                   reply fd (error_frame Too_large (string_of_int n));
                    close_conn fd
                  | Error (Bad_frame why) ->
-                   reply_error fd Malformed_frame why;
+                   reply fd (error_frame Malformed_frame why);
                    close_conn fd
                  | Error _ ->
                    (* EOF (normal disconnect), timeout, reset *)
@@ -1446,15 +1427,10 @@ module Make (F : Prio_field.Field_intf.S) = struct
                    | Faults.Crash -> exit 70
                    | Faults.Drop -> ()
                    | Faults.Disconnect -> close_conn fd
-                   | Faults.Deliver frame -> (
-                     if Bytes.length frame = 0 then begin
-                       reply_error fd Malformed_frame "empty frame";
-                       close_conn fd
-                     end
-                     else
-                       match handle_frame fd frame with
-                       | `Keep -> ()
-                       | `Close -> close_conn fd)))
+                   | Faults.Deliver frame ->
+                     let out, keep = handle_frame frame in
+                     reply fd out;
+                     if keep = `Close then close_conn fd))
              readable
        done
      with Exit -> ());
@@ -1471,7 +1447,6 @@ module Make (F : Prio_field.Field_intf.S) = struct
         close_out oc
       with Sys_error _ -> ())
     | _ -> ());
-    Pool.shutdown pool;
     (match !journal with Some j -> Ckpt.journal_close j | None -> ());
     List.iter close_quietly !conns;
     Links.close followers;
@@ -1715,9 +1690,9 @@ module Make (F : Prio_field.Field_intf.S) = struct
              stays healthy, it just wants the burst spread out *)
           `Retry (Peer_error (Busy, detail))
         | Some (Commit_pending, detail) ->
-          (* the verdict is journaled on the leader but a follower has
-             not acked it: resubmit the whole packet set so the leader
-             can re-run the acked broadcast against re-seeded shares *)
+          (* a follower has not acked the leader's journaled verdict, or
+             the leader lost the share in a restart: resubmit the whole
+             packet set so lost shares are re-seeded and the leader heals *)
           `Done (`Resubmit detail)
         | Some ((Unknown_client | Unavailable | Rejected) as c, detail) ->
           `Done (`Nack (string_of_error_code c ^ ": " ^ detail)))
@@ -1879,8 +1854,8 @@ module Make (F : Prio_field.Field_intf.S) = struct
       Verification of distinct clients is independent and the servers'
       per-client decisions don't depend on arrival order, so the outcome
       array — returned in packet order — is the same as submitting
-      serially. This is the client-side half of the runtime's multicore
-      story; pair it with [tuning.verify_domains] on the server side. *)
+      serially. This is the runtime's multicore story: each server is
+      one single-threaded event loop. *)
   let submit_batch ?faults ?(domains = 1) d ~rng
       (packets : (int * Client.packets) array) : outcome array =
     ignore_sigpipe ();

@@ -29,7 +29,9 @@ type error_code =
   | Busy  (** admission queue full; retryable — clients back off *)
   | Commit_pending
       (** the leader journaled the verdict but a follower has not acked
-          it; the client resubmits so the broadcast can be repaired *)
+          it, or the leader lost the share in a restart before deciding;
+          the client resubmits so the broadcast can be repaired or the
+          share re-seeded *)
 
 (** Everything that can go wrong on the wire, as a value. *)
 type protocol_error =
@@ -55,12 +57,7 @@ val max_frame_bytes : int
 type tuning = {
   io_timeout : float;  (** per-frame read/write deadline, seconds *)
   dial_timeout : float;  (** per-connection-establishment deadline *)
-  select_tick : float;  (** serve-loop wakeup when idle *)
   backoff : Retry.backoff;  (** client-side RPC retry schedule *)
-  verify_domains : int;
-      (** worker domains per server process for SNIP preparation
-          (default 1 = inline on the event loop); with more, preparation
-          is queued eagerly at upload time and overlaps frame handling *)
   max_pending : int;
       (** admission cap (default 1024): uploads beyond this many
           in-flight submissions are shed with a retryable [Busy] frame *)
@@ -198,11 +195,60 @@ module Make (F : Prio_field.Field_intf.S) : sig
             server-to-server channels *)
   }
 
+  (** One server's protocol without sockets, files or clocks: admission,
+      the leader's two SNIP gossip rounds, the two-phase decision
+      broadcast, epoch rotation and the snapshot cadence. {!serve} drives
+      it over TCP; a test can wire several nodes' {!effects} straight
+      into each other's {!handle}. *)
+  module Node : sig
+    (** Everything the core asks of the outside world. *)
+    type effects = {
+      scatter :
+        ?skip:int -> Bytes.t ->
+        (unit -> (Bytes.t, protocol_error) result option array);
+          (** leader only: post the frame to every follower but [skip]
+              (0-based follower index) now, and return a thunk that
+              gathers their replies in follower order ([None] for
+              [skip]). The leader's own step runs between the two. *)
+      drop : int -> unit;
+          (** drop the link to a follower whose reply desynced the stream *)
+      journal : Checkpoint.Make(F).journal_entry -> bool;
+          (** the write-ahead append, durable on return; [false] when the
+              journal refused the record *)
+      snapshot : Server.Make(F).t -> unit;
+          (** persist this state and truncate the journal it absorbed *)
+    }
+
+    type t
+
+    val create : tuning:tuning -> config -> id:int -> effects -> t
+    (** A fresh server [id]. Reads [tuning]'s [max_pending], [epoch_size]
+        and [checkpoint_every]. *)
+
+    val server : t -> Server.Make(F).t
+    (** The accumulator and replay state, for restoring a snapshot into
+        before {!replay}, and for health. *)
+
+    val depth : t -> int
+    (** Admission-queue depth: uploads not yet decided. *)
+
+    val replay : t -> Checkpoint.Make(F).journal_entry list -> unit
+    (** Re-apply journal entries past the restored snapshot's
+        [journal_seq] watermark. The leader marks them uncommitted, so a
+        retried [V] repairs a broadcast the crash cut short. *)
+
+    val handle : t -> Bytes.t -> Bytes.t * [ `Keep | `Close ]
+    (** Answer one [P], [V], [o], [d], [a], [r] or [Q] frame with the
+        reply frame; [`Close] when the stream is malformed or the tag
+        unknown. *)
+  end
+
   val serve :
     ?tuning:tuning -> ?faults:Faults.t -> ?restore_min_epoch:int ->
     config -> id:int -> listen_fd:Unix.file_descr ->
     follower_addrs:Unix.sockaddr array -> unit
-  (** Run one server's event loop until an [X] frame arrives; the leader
+  (** Run one server until an [X] frame arrives: a {!Node} behind a
+      select loop that blocks until a connection is readable. The leader
       (id 0) dials the followers, lazily redialing dead ones. The
       listener must already be bound. [faults] sits on this server's
       frame-receive path and may [Crash] the process. With

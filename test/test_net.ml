@@ -40,7 +40,6 @@ let fast_tuning =
       default_tuning with
       io_timeout = 0.4;
       dial_timeout = 0.5;
-      select_tick = 0.02;
       backoff =
         Retry.
           {

@@ -1,0 +1,233 @@
+(* The socket-free server core, driven in one process: three [Net.Node]s
+   whose effects call straight into each other's [handle], each with an
+   in-memory decision journal and snapshot. No fork, no sockets, no
+   clock — so every crash point of a submission stream can be visited in
+   turn, which the fork-based @net drills can only sample. *)
+
+module F = Prio_field.F87
+module Net = Prio_proto.Net.Make (F)
+module NetT = Prio_proto.Net
+module Ck = Prio_proto.Checkpoint.Make (F)
+module Wire = Prio_proto.Wire.Make (F)
+module Sum = Prio_afe.Sum.Make (F)
+module A = Prio_afe.Afe.Make (F)
+module Rng = Prio_crypto.Rng
+module Sv = Prio_proto.Server.Make (F)
+
+let num_servers = 3
+let rng = Rng.of_string_seed "node-tests"
+let afe = Sum.sum ~bits:4
+
+let cfg =
+  Net.
+    {
+      circuit = afe.A.circuit;
+      trunc_len = afe.A.trunc_len;
+      num_servers;
+      master = Rng.bytes rng 32;
+      batch_seed = Rng.bytes rng 32;
+    }
+
+(* a snapshot every other decision, so restores mix snapshot and journal
+   replay *)
+let tuning = { NetT.default_tuning with checkpoint_every = 2 }
+
+(* A crash of node [node] at its [append]-th journal append, just before
+   the record is written or just after. *)
+type fault = { node : int; append : int; after : bool }
+
+exception Crash
+
+type cluster = {
+  mutable nodes : Net.Node.t array;
+  snaps : Ck.snapshot option array;  (** last snapshot per node *)
+  journals : Ck.journal_entry list array;  (** newest first *)
+  appends : int array;  (** journal appends attempted per node *)
+  mutable fault : fault option;
+  mutable crashes : int;
+}
+
+(* A node's reply to [frame]; a node that crashes while handling it
+   answers nothing, which a peer or a client sees as a closed link. *)
+let deliver c k frame =
+  match Net.Node.handle c.nodes.(k) frame with
+  | reply, _ -> Ok reply
+  | exception Crash -> Error (NetT.Closed "crashed")
+
+let rec make_node c i =
+  let scatter ?skip payload =
+    let replies =
+      Array.init (num_servers - 1) (fun j ->
+          if skip = Some j then None else Some (deliver c (j + 1) payload))
+    in
+    fun () -> replies
+  in
+  let crash_at after =
+    match c.fault with
+    | Some f when f.node = i && f.append = c.appends.(i) && f.after = after ->
+      c.fault <- None;
+      c.crashes <- c.crashes + 1;
+      (* the process dies: its memory is gone, its journal and last
+         snapshot stay, and the supervisor restarts it from them *)
+      c.nodes.(i) <- restore c i;
+      raise Crash
+    | _ -> ()
+  in
+  let journal entry =
+    c.appends.(i) <- c.appends.(i) + 1;
+    crash_at false;
+    c.journals.(i) <- entry :: c.journals.(i);
+    crash_at true;
+    true
+  in
+  let snapshot state =
+    c.snaps.(i) <- Some (Ck.of_server state);
+    c.journals.(i) <- []
+  in
+  Net.Node.create ~tuning cfg ~id:i
+    { scatter; drop = ignore; journal; snapshot }
+
+and restore c i =
+  let n = make_node c i in
+  Option.iter (fun s -> Ck.apply s (Net.Node.server n)) c.snaps.(i);
+  Net.Node.replay n (List.rev c.journals.(i));
+  n
+
+let cluster ?fault () =
+  let c =
+    {
+      nodes = [||];
+      snaps = Array.make num_servers None;
+      journals = Array.make num_servers [];
+      appends = Array.make num_servers 0;
+      fault;
+      crashes = 0;
+    }
+  in
+  c.nodes <- Array.init num_servers (make_node c);
+  c
+
+(* The client's submission, as [Net.submit_packets_session] runs it: [P]
+   to every server, then [V] to the leader, and the whole round again on
+   a [Commit_pending] reply, up to 4 rounds. A request that hits a crash
+   is retried against the restarted server, as the client's backoff
+   would. *)
+let submit c ~client_id (pk : Net.Client.packets) =
+  let frame tag body =
+    NetT.tagged tag
+      (Bytes.concat Bytes.empty
+         [ NetT.put_u32 client_id; NetT.ctx_bytes (); body ])
+  in
+  let rec call k frame =
+    match deliver c k frame with Ok reply -> reply | Error _ -> call k frame
+  in
+  let rec round r =
+    let acked =
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun k sealed -> Bytes.get (call k (frame 'P' sealed)) 0 = 'K')
+           pk.Net.Client.sealed)
+    in
+    if not acked then false
+    else
+      let reply = call 0 (frame 'V' Bytes.empty) in
+      match (Bytes.get reply 0, NetT.parse_error_frame reply) with
+      | 'K', _ -> true
+      | 'E', Some (NetT.Commit_pending, _) when r < 4 -> round (r + 1)
+      | _ -> false
+  in
+  round 1
+
+(* The aggregate over every server's [Q] reply, and each server's count of
+   accepted submissions. *)
+let collect c =
+  let acc = Array.make afe.A.trunc_len F.zero in
+  Array.iteri
+    (fun k _ ->
+      match deliver c k (NetT.tagged 'Q' Bytes.empty) with
+      | Ok reply -> (
+        let body = Bytes.sub reply 1 (Bytes.length reply - 1) in
+        match Wire.vector_of_bytes_opt body with
+        | Some v -> Array.iteri (fun j x -> acc.(j) <- F.add acc.(j) x) v
+        | None -> Alcotest.fail "bad accumulator payload")
+      | Error _ -> Alcotest.fail "collect hit a crash")
+    c.nodes;
+  let accepted =
+    Array.map (fun n -> (Net.Node.server n).Sv.accepted) c.nodes
+  in
+  (acc, Array.to_list accepted)
+
+(* Sealed once, so every run of a test submits byte-identical packets.
+   [cheat] corrupts one client's encoding, which the SNIP rejects. *)
+let packets ?cheat values =
+  List.mapi
+    (fun i x ->
+      let enc = afe.A.encode ~rng x in
+      if Some i = cheat then enc.(0) <- F.of_int 999;
+      ( i,
+        Net.Client.submit ~rng ~mode:(Net.Client.Robust_snip cfg.Net.circuit)
+          ~num_servers ~client_id:i ~master:cfg.Net.master enc ))
+    values
+
+let run ?fault packets =
+  let c = cluster ?fault () in
+  let outcomes =
+    List.map (fun (client_id, pk) -> submit c ~client_id pk) packets
+  in
+  let agg, accepted = collect c in
+  let n = List.length (List.filter Fun.id outcomes) in
+  (c, outcomes, Prio_bigint.Bigint.to_string (afe.A.decode ~n agg), accepted)
+
+(* The packet set of the TCP suite's "sum end-to-end", through three
+   in-process nodes: the same aggregate, 34. *)
+let test_sum_end_to_end () =
+  let _, outcomes, total, accepted = run (packets [ 3; 7; 15; 0; 9 ]) in
+  Alcotest.(check (list bool)) "all accepted" [ true; true; true; true; true ]
+    outcomes;
+  Alcotest.(check string) "aggregate" "34" total;
+  Alcotest.(check (list int)) "accepted per server" [ 5; 5; 5 ] accepted
+
+(* Every node, every one of its journal appends in a fault-free run,
+   crashed just before and just after the append: the resubmitting client
+   must end with the fault-free aggregate and accept count — nothing lost,
+   nothing counted twice. *)
+let test_crash_points () =
+  let stream = packets ~cheat:4 [ 3; 7; 15; 0; 9; 12 ] in
+  let clean, want_outcomes, want_total, want_accepted = run stream in
+  Alcotest.(check string) "fault-free aggregate" "37" want_total;
+  Alcotest.(check (list int)) "fault-free accepted" [ 5; 5; 5 ] want_accepted;
+  (* one decision per submission on every node: 36 crash points *)
+  Alcotest.(check (list int)) "fault-free journal appends" [ 6; 6; 6 ]
+    (Array.to_list clean.appends);
+  Array.iteri
+    (fun node appends ->
+      for append = 1 to appends do
+        List.iter
+          (fun after ->
+            let fault = { node; append; after } in
+            let where =
+              Printf.sprintf "node %d, %s append %d" node
+                (if after then "after" else "before")
+                append
+            in
+            let c, outcomes, total, accepted = run ~fault stream in
+            Alcotest.(check int) (where ^ ": crashed") 1 c.crashes;
+            Alcotest.(check (list bool)) (where ^ ": outcomes") want_outcomes
+              outcomes;
+            Alcotest.(check string) (where ^ ": aggregate") want_total total;
+            Alcotest.(check (list int)) (where ^ ": accepted") want_accepted
+              accepted)
+          [ false; true ]
+      done)
+    clean.appends
+
+let () =
+  Alcotest.run "node"
+    [
+      ( "in-process cluster",
+        [
+          Alcotest.test_case "sum end-to-end" `Quick test_sum_end_to_end;
+          Alcotest.test_case "crash at every journal append" `Quick
+            test_crash_points;
+        ] );
+    ]

@@ -1,8 +1,8 @@
 (* Multicore suite, run under the @par alias with a fixed domain count so
    results never depend on the host's core inventory: the domain worker
    pool's scheduling contracts, pipeline-level parallel verification
-   against the sequential reference, and the TCP runtime with
-   verify_domains > 1 driving a concurrent client batch. *)
+   against the sequential reference, and the TCP runtime under a
+   concurrent client batch. *)
 
 module F = Prio_field.F87
 module Pool = Prio_proto.Pool
@@ -147,8 +147,6 @@ let par_tuning =
       default_tuning with
       io_timeout = 2.0;
       dial_timeout = 2.0;
-      select_tick = 0.02;
-      verify_domains = 2;
       backoff =
         Retry.
           {
@@ -159,7 +157,7 @@ let par_tuning =
           };
     }
 
-let test_net_verify_domains () =
+let test_net_concurrent_batch () =
   let afe = Sum.sum ~bits:4 in
   let cfg =
     Net.
@@ -224,8 +222,8 @@ let () =
          domains. *)
       ( "tcp runtime",
         [
-          Alcotest.test_case "verify_domains + concurrent batch" `Quick
-            test_net_verify_domains;
+          Alcotest.test_case "concurrent batch" `Quick
+            test_net_concurrent_batch;
         ] );
       ( "pool",
         [
