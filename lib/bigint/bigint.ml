@@ -811,7 +811,7 @@ module Mont = struct
   let zero ctx = Array.make ctx.n 0
   let one ctx = Array.copy ctx.one_m
 
-  let add ctx a b =
+  let add_generic ctx a b =
     let n = ctx.n and m = ctx.m in
     let r = Array.make n 0 in
     let carry = ref 0 in
@@ -836,7 +836,7 @@ module Mont = struct
     end;
     r
 
-  let sub ctx a b =
+  let sub_generic ctx a b =
     let n = ctx.n and m = ctx.m in
     let r = Array.make n 0 in
     let borrow = ref 0 in
@@ -860,6 +860,40 @@ module Mont = struct
       done
     end;
     r
+
+  (* [add_generic] and [sub_generic] for n = 3, unrolled like [mul3]: the
+     limbs stay in locals, the only allocation is the result, and the one
+     conditional correction keeps it canonical. *)
+  let add3 ctx a b =
+    let m = ctx.m in
+    let m0 = m.(0) and m1 = m.(1) and m2 = m.(2) in
+    let s0 = a.(0) + b.(0) in
+    let s1 = a.(1) + b.(1) + (s0 lsr limb_bits) in
+    let s2 = a.(2) + b.(2) + (s1 lsr limb_bits) in
+    let r0 = s0 land mask and r1 = s1 land mask and r2 = s2 land mask in
+    if s2 > mask || r2 > m2 || (r2 = m2 && (r1 > m1 || (r1 = m1 && r0 >= m0))) then begin
+      let d0 = r0 - m0 in
+      let d1 = r1 - m1 + (d0 asr limb_bits) in
+      let d2 = r2 - m2 + (d1 asr limb_bits) in
+      [| d0 land mask; d1 land mask; d2 land mask |]
+    end
+    else [| r0; r1; r2 |]
+
+  let sub3 ctx a b =
+    let d0 = a.(0) - b.(0) in
+    let d1 = a.(1) - b.(1) + (d0 asr limb_bits) in
+    let d2 = a.(2) - b.(2) + (d1 asr limb_bits) in
+    if d2 < 0 then begin
+      let m = ctx.m in
+      let s0 = (d0 land mask) + m.(0) in
+      let s1 = (d1 land mask) + m.(1) + (s0 lsr limb_bits) in
+      let s2 = (d2 land mask) + m.(2) + (s1 lsr limb_bits) in
+      [| s0 land mask; s1 land mask; s2 land mask |]
+    end
+    else [| d0 land mask; d1 land mask; d2 |]
+
+  let add ctx a b = if ctx.n = 3 then add3 ctx a b else add_generic ctx a b
+  let sub ctx a b = if ctx.n = 3 then sub3 ctx a b else sub_generic ctx a b
 
   let is_zero_arr a = Array.for_all (fun x -> x = 0) a
 

@@ -141,6 +141,14 @@ module Mont : sig
   val one : ctx -> elt
   val add : ctx -> elt -> elt -> elt
   val sub : ctx -> elt -> elt -> elt
+  (** Like {!mul}: unrolled when the modulus has 3 limbs, else
+      {!add_generic}/{!sub_generic}; both give the same canonical result. *)
+
+  val add_generic : ctx -> elt -> elt -> elt
+  val sub_generic : ctx -> elt -> elt -> elt
+  (** The n-limb loops: the only path for other limb counts, and the
+      reference the 3-limb kernels are tested against. *)
+
   val neg : ctx -> elt -> elt
   val mul : ctx -> elt -> elt -> elt
   (** Uses an unrolled kernel when the modulus has 3 limbs, else

@@ -87,9 +87,17 @@ let encrypt ~key ?(counter = 1) ~nonce msg =
     let ks = block ~key ~counter:(counter + b) ~nonce in
     let off = b * 64 in
     let chunk = Stdlib.min 64 (len - off) in
-    for i = 0 to chunk - 1 do
-      Bytes.set out (off + i)
-        (Char.chr (Char.code (Bytes.get msg (off + i)) lxor Char.code (Bytes.get ks i)))
-    done
+    if chunk = 64 then
+      (* a full block: eight 64-bit words *)
+      for i = 0 to 7 do
+        let o = 8 * i in
+        Bytes.set_int64_le out (off + o)
+          (Int64.logxor (Bytes.get_int64_le msg (off + o)) (Bytes.get_int64_le ks o))
+      done
+    else
+      for i = 0 to chunk - 1 do
+        Bytes.set out (off + i)
+          (Char.chr (Char.code (Bytes.get msg (off + i)) lxor Char.code (Bytes.get ks i)))
+      done
   done;
   out

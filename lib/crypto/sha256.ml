@@ -15,8 +15,12 @@ let k =
      0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
      0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
 
+(* The message schedule lives in the context rather than in a module-level
+   buffer: contexts are per call, so domains hashing at once never share
+   one. *)
 type ctx = {
   h : int array; (* 8 words *)
+  w : int array; (* 64-word message schedule, rewritten by every block *)
   buf : Bytes.t; (* 64-byte block buffer *)
   mutable buf_len : int;
   mutable total : int; (* total bytes processed *)
@@ -27,36 +31,42 @@ let init () =
     h =
       [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
          0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
+    w = Array.make 64 0;
     buf = Bytes.create 64;
     buf_len = 0;
     total = 0;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land m32
+(* A 32-bit word doubled into the high half of a native int: any 32-bit
+   window of it is a rotation, so a rotate right by n (n <= 25 here) is
+   one shift and a mask, and the three rotations of each Σ/σ share the
+   mask. Bit 31 of the high copy falls off the 63-bit int, but no window
+   reaches it. *)
+let doubled x = x lor (x lsl 32)
 
-let compress h block off =
-  let w = Array.make 64 0 in
+let compress ctx block off =
+  let h = ctx.h and w = ctx.w in
   for i = 0 to 15 do
-    w.(i) <-
-      (Char.code (Bytes.get block (off + (4 * i))) lsl 24)
-      lor (Char.code (Bytes.get block (off + (4 * i) + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (off + (4 * i) + 2)) lsl 8)
-      lor Char.code (Bytes.get block (off + (4 * i) + 3))
+    w.(i) <- Int32.to_int (Bytes.get_int32_be block (off + (4 * i))) land m32
   done;
   for i = 16 to 63 do
-    let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
-    let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
+    let x = w.(i - 15) and y = w.(i - 2) in
+    let xx = doubled x and yy = doubled y in
+    let s0 = ((xx lsr 7) lxor (xx lsr 18)) land m32 lxor (x lsr 3) in
+    let s1 = ((yy lsr 17) lxor (yy lsr 19)) land m32 lxor (y lsr 10) in
     w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land m32
   done;
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land m32 in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land m32 in
+    let ee = doubled !e in
+    let s1 = ((ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25)) land m32 in
+    let ch = !g lxor (!e land (!f lxor !g)) in
+    (* five 32-bit terms: no overflow, masked once where it is used *)
+    let t1 = !hh + s1 + ch + k.(i) + w.(i) in
+    let aa = doubled !a in
+    let s0 = ((aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22)) land m32 in
+    let maj = (!a land !b) lor (!c land (!a lor !b)) in
     hh := !g;
     g := !f;
     f := !e;
@@ -64,7 +74,7 @@ let compress h block off =
     d := !c;
     c := !b;
     b := !a;
-    a := (t1 + t2) land m32
+    a := (t1 + s0 + maj) land m32
   done;
   h.(0) <- (h.(0) + !a) land m32;
   h.(1) <- (h.(1) + !b) land m32;
@@ -86,12 +96,12 @@ let update ctx data =
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
     if ctx.buf_len = 64 then begin
-      compress ctx.h ctx.buf 0;
+      compress ctx ctx.buf 0;
       ctx.buf_len <- 0
     end
   end;
   while len - !pos >= 64 do
-    compress ctx.h data !pos;
+    compress ctx data !pos;
     pos := !pos + 64
   done;
   let rest = len - !pos in
@@ -117,11 +127,7 @@ let finalize ctx =
   assert (ctx.buf_len = 0);
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xff))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
   done;
   out
 

@@ -105,6 +105,34 @@ module Make (F : Prio_field.Field_intf.S) = struct
       Array.init out_len (fun i -> F.mul n_inv fa.(i))
     end
 
+  (** Values of f·g on the 2n-grid, for f and g of degree < n given by
+      their values [u], [v] on the n-grid. The even points ω₂ₙ^{2t} = ω_nᵗ
+      need no transform: they are u_t·v_t. The odd points ω₂ₙ·ω_nᵗ form a
+      coset of the n-grid, so f there is the size-n forward transform of
+      its coefficients scaled by ω₂ₙⁱ; the interpolation's n⁻¹ is folded
+      into that one table, read off the 2n plan's powers. Two inverse and
+      two forward size-n transforms in all. *)
+  let double_grid_product (u : F.t array) (v : F.t array) : F.t array =
+    let n = Array.length u in
+    if Array.length v <> n then
+      invalid_arg "Ntt.double_grid_product: length mismatch";
+    let plan = Plan.get n and plan2 = Plan.get (2 * n) in
+    let n_inv = Plan.n_inv plan in
+    let shift = Array.init n (fun i -> F.mul n_inv (Plan.omega_pow plan2 i)) in
+    let on_coset values =
+      let a = Array.copy values in
+      Plan.transform plan ~inverse:true a;
+      for i = 0 to n - 1 do
+        a.(i) <- F.mul shift.(i) a.(i)
+      done;
+      Plan.transform plan a;
+      a
+    in
+    let fo = on_coset u and go = on_coset v in
+    Array.init (2 * n) (fun i ->
+        let t = i lsr 1 in
+        if i land 1 = 0 then F.mul u.(t) v.(t) else F.mul fo.(t) go.(t))
+
   (* ----------------- uncached reference implementations ----------------- *)
 
   let ntt_uncached (coeffs : F.t array) : F.t array =

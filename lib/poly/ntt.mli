@@ -32,6 +32,15 @@ module Make (F : Prio_field.Field_intf.S) : sig
   (** Polynomial product via NTT; output has exact length
       |p| + |q| − 1. *)
 
+  val double_grid_product : F.t array -> F.t array -> F.t array
+  (** [double_grid_product u v]: for f and g of degree < n with values [u]
+      and [v] on the n-grid, the values of f·g on the 2n-grid — the even
+      points are u_t·v_t, the odd ones come from one size-n transform of
+      each polynomial on the coset ω₂ₙ·⟨ω_n⟩. Equals [ntt] of the
+      zero-padded [mul (intt u) (intt v)].
+      @raise Invalid_argument if the lengths differ or are not a power of
+      two the field's two-adicity can double. *)
+
   val ntt_uncached : F.t array -> F.t array
   val intt_uncached : F.t array -> F.t array
 

@@ -84,9 +84,13 @@ module Make (F : Prio_field.Field_intf.S) = struct
     if s < 1 then invalid_arg "Share.split_compressed: need at least one share";
     let l = Array.length v in
     let seeds = Array.init (s - 1) (fun _ -> Rng.fresh_seed rng) in
-    let acc = Array.make l F.zero in
-    Array.iter (fun seed -> add_into ~dst:acc (expand_seed seed ~len:l)) seeds;
-    let last = Array.init l (fun j -> F.sub v.(j) acc.(j)) in
+    (* element j takes the j-th draw of every seed's PRG, so each stream
+       is read in the order [expand_seed] reads it *)
+    let prgs = Array.map Rng.of_seed seeds in
+    let last =
+      Array.init l (fun j ->
+          Array.fold_left (fun x prg -> F.sub x (F.random prg)) v.(j) prgs)
+    in
     Array.append (Array.map (fun s -> Seed s) seeds) [| Explicit last |]
 
   (** Serialized size in bytes of one compressed share. *)

@@ -145,19 +145,10 @@ module Make (F : Prio_field.Field_intf.S) = struct
         u.(t) <- ut;
         v.(t) <- vt
       done;
-      (* h = f·g has degree ≤ 2n−2 < 2n, so its 2N-grid evaluations are
-         exactly the pointwise products f(ω₂ᵢ)·g(ω₂ᵢ): interpolate f and g
-         once (size n) and evaluate both on the double grid — two cached
-         size-2n transforms instead of the four a coefficient-space
-         multiply-then-re-evaluate would cost. *)
-      let f_coeffs = Ntt.intt u and g_coeffs = Ntt.intt v in
-      let pad2 c =
-        let h = Array.make (2 * n) F.zero in
-        Array.blit c 0 h 0 (Array.length c);
-        h
-      in
-      let f2 = Ntt.ntt (pad2 f_coeffs) and g2 = Ntt.ntt (pad2 g_coeffs) in
-      let h_points = Array.init (2 * n) (fun i -> F.mul f2.(i) g2.(i)) in
+      (* h = f·g has degree ≤ 2n−2 < 2n, so its 2N-grid values are the
+         pointwise products f·g there: u_t·v_t at the even points, and one
+         size-n transform of f and of g on the odd coset. *)
+      let h_points = Ntt.double_grid_product u v in
       let a = F.random rng and b = F.random rng in
       let c = F.mul a b in
       Array.concat [ [| u.(0); v.(0) |]; h_points; [| a; b; c |] ]

@@ -173,7 +173,8 @@ let test_montgomery () =
     (fun () -> ignore (B.Mont.create (B.of_int 10)))
 
 (* The word-level Montgomery paths against the generic ones: the
-   unrolled 3-limb multiply against [mul_generic], and the limb sampler
+   unrolled 3-limb multiply, add, sub and neg against [mul_generic],
+   [add_generic], [sub_generic] and bignum [erem], and the limb sampler
    and codec against [random_below] and [to_bytes_be]/[of_bytes_be], over
    3-limb moduli with extreme limbs and random ones of other widths. *)
 let test_montgomery_kernels () =
@@ -220,8 +221,22 @@ let test_montgomery_kernels () =
               Alcotest.(check bool) "mul = mul_generic" true
                 (B.Mont.equal got (B.Mont.mul_generic ctx xm ym));
               Alcotest.(check string) "mul = erem" (B.to_string (B.erem (B.mul x y) m))
-                (B.to_string (B.Mont.of_mont ctx got)))
-            vals elts)
+                (B.to_string (B.Mont.of_mont ctx got));
+              let sum = B.Mont.add ctx xm ym and diff = B.Mont.sub ctx xm ym in
+              Alcotest.(check bool) "add = add_generic" true
+                (B.Mont.equal sum (B.Mont.add_generic ctx xm ym));
+              Alcotest.(check bool) "sub = sub_generic" true
+                (B.Mont.equal diff (B.Mont.sub_generic ctx xm ym));
+              Alcotest.(check string) "add = erem" (B.to_string (B.erem (B.add x y) m))
+                (B.to_string (B.Mont.of_mont ctx sum));
+              Alcotest.(check string) "sub = erem" (B.to_string (B.erem (B.sub x y) m))
+                (B.to_string (B.Mont.of_mont ctx diff)))
+            vals elts;
+          let negated = B.Mont.neg ctx xm in
+          Alcotest.(check bool) "neg = sub_generic 0" true
+            (B.Mont.equal negated (B.Mont.sub_generic ctx (B.Mont.zero ctx) xm));
+          Alcotest.(check string) "neg = erem" (B.to_string (B.erem (B.neg x) m))
+            (B.to_string (B.Mont.of_mont ctx negated)))
         vals elts;
       let width = (B.num_bits m + 7) / 8 in
       List.iter2

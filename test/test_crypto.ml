@@ -40,6 +40,32 @@ let test_chacha_encrypt () =
   Alcotest.(check string) "decrypt = encrypt" (Bytes.to_string plaintext)
     (Bytes.to_string (Chacha20.encrypt ~key ~counter:1 ~nonce ct))
 
+(* Every message length 0..200, at two counters: the full-block word XOR
+   and the bytewise tail against a plain XOR with the concatenated
+   [block] keystream. *)
+let test_chacha_length_sweep () =
+  let key = Bytes.init 32 (fun i -> Char.chr (((i * 37) + 5) land 0xff)) in
+  let nonce = Bytes.init 12 (fun i -> Char.chr (i + 1)) in
+  let msg = Bytes.init 200 (fun i -> Char.chr (((i * 131) + 7) land 0xff)) in
+  List.iter
+    (fun counter ->
+      let stream =
+        Bytes.concat Bytes.empty
+          (List.init 4 (fun b -> Chacha20.block ~key ~counter:(counter + b) ~nonce))
+      in
+      for len = 0 to 200 do
+        let m = Bytes.sub msg 0 len in
+        let want =
+          Bytes.init len (fun i ->
+              Char.chr (Char.code (Bytes.get m i) lxor Char.code (Bytes.get stream i)))
+        in
+        Alcotest.(check string)
+          (Printf.sprintf "counter %d, %d bytes" counter len)
+          (hex want)
+          (hex (Chacha20.encrypt ~key ~counter ~nonce m))
+      done)
+    [ 0; 7 ]
+
 let test_chacha_args () =
   Alcotest.check_raises "bad key" (Invalid_argument "Chacha20.block: key must be 32 bytes")
     (fun () -> ignore (Chacha20.block ~key:(Bytes.create 16) ~counter:0 ~nonce:(Bytes.create 12)));
@@ -82,6 +108,33 @@ let test_sha256_incremental () =
     (hex (Sha256.digest_string data))
     (hex (Sha256.finalize ctx))
 
+(* Every length 0..300, so each padding case and block boundary is met:
+   one-shot against two [update]s split at every 7th offset, and the
+   digests together pinned to an independent SHA-256 (the digest of the
+   301 digests concatenated). *)
+let test_sha256_length_sweep () =
+  let data = Bytes.init 300 (fun i -> Char.chr (((i * 131) + 7) land 0xff)) in
+  let all = Buffer.create (301 * 32) in
+  for len = 0 to 300 do
+    let msg = Bytes.sub data 0 len in
+    let one_shot = Sha256.digest msg in
+    Buffer.add_bytes all one_shot;
+    let split = ref 0 in
+    while !split <= len do
+      let ctx = Sha256.init () in
+      Sha256.update ctx (Bytes.sub msg 0 !split);
+      Sha256.update ctx (Bytes.sub msg !split (len - !split));
+      Alcotest.(check string)
+        (Printf.sprintf "%d bytes split at %d" len !split)
+        (hex one_shot)
+        (hex (Sha256.finalize ctx));
+      split := !split + 7
+    done
+  done;
+  Alcotest.(check string) "digests of lengths 0..300"
+    "7722024365d27836079cbf29de35d060b9383d7c713083199661392f983216d4"
+    (hex (Sha256.digest (Buffer.to_bytes all)))
+
 (* ------------------------------ HMAC ------------------------------- *)
 
 (* RFC 4231 test cases 1 and 2. *)
@@ -97,6 +150,26 @@ let test_hmac_vectors () =
   in
   Alcotest.(check string) "rfc4231 case 2"
     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843" (hex tag2)
+
+(* RFC 4231 test cases 6 and 7: a 131-byte key, longer than the block,
+   so HMAC hashes it first. *)
+let test_hmac_long_key_vectors () =
+  let key = Bytes.make 131 '\xaa' in
+  let tag6 =
+    Hmac.sha256 ~key
+      (Bytes.of_string "Test Using Larger Than Block-Size Key - Hash Key First")
+  in
+  Alcotest.(check string) "rfc4231 case 6"
+    "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54" (hex tag6);
+  let tag7 =
+    Hmac.sha256 ~key
+      (Bytes.of_string
+         "This is a test using a larger than block-size key and a larger than \
+          block-size data. The key needs to be hashed before being used by the \
+          HMAC algorithm.")
+  in
+  Alcotest.(check string) "rfc4231 case 7"
+    "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2" (hex tag7)
 
 let test_hmac_verify () =
   let key = Bytes.of_string "secret" in
@@ -265,16 +338,19 @@ let () =
         [
           Alcotest.test_case "rfc8439 block" `Quick test_chacha_block;
           Alcotest.test_case "rfc8439 encrypt" `Quick test_chacha_encrypt;
+          Alcotest.test_case "length sweep" `Quick test_chacha_length_sweep;
           Alcotest.test_case "argument checks" `Quick test_chacha_args;
         ] );
       ( "sha256",
         [
           Alcotest.test_case "fips vectors" `Quick test_sha256_vectors;
           Alcotest.test_case "incremental" `Quick test_sha256_incremental;
+          Alcotest.test_case "length sweep" `Quick test_sha256_length_sweep;
         ] );
       ( "hmac",
         [
           Alcotest.test_case "rfc4231 vectors" `Quick test_hmac_vectors;
+          Alcotest.test_case "rfc4231 long-key vectors" `Quick test_hmac_long_key_vectors;
           Alcotest.test_case "verify" `Quick test_hmac_verify;
           Alcotest.test_case "verify contract" `Quick
             test_hmac_verify_contract;

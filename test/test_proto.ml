@@ -206,6 +206,35 @@ let test_upload_compression () =
   done;
   Alcotest.(check bool) "one explicit packet" true (sizes.(s - 1) > 1000)
 
+(* The client's wire bytes, pinned: every sealed packet of one
+   wide-bits submission (256 one-bit coordinates, 5 servers) drawn from a
+   fixed seed, hashed. The digest predates the coset prover, the
+   streamed share split and the word-level SHA-256/ChaCha20 kernels, so
+   it shows they moved no byte. It trips on any later change to proving,
+   splitting, sealing or the crypto beneath them that moves one. *)
+let test_client_packets_known_answer () =
+  let module C = Prio_circuit.Circuit.Make (F) in
+  let l = 256 in
+  let b = C.Builder.create ~num_inputs:l in
+  for i = 0 to l - 1 do
+    C.Builder.assert_bit b (C.Builder.input b i)
+  done;
+  let circuit = C.Builder.build b in
+  let rng = Rng.of_string_seed "client-packets-kat" in
+  let master = Rng.bytes rng 32 in
+  let enc = Array.init l (fun _ -> F.of_int (Rng.int_below rng 2)) in
+  let pk =
+    Client.submit ~rng ~mode:(Client.Robust_snip circuit) ~num_servers:5
+      ~client_id:3 ~master enc
+  in
+  let digest =
+    Prio_crypto.Sha256.digest (Bytes.concat Bytes.empty (Array.to_list pk.Client.sealed))
+  in
+  Alcotest.(check int) "upload bytes" 14488 pk.Client.upload_bytes;
+  Alcotest.(check string) "packets sha256"
+    "4392ce6021f67a467464ff228746579fb1cab7110da8c21a69dffe04169b5227"
+    (Prio_crypto.Sha256.hex digest)
+
 (* ------------------------------- DP --------------------------------- *)
 
 let test_dp_moments () =
@@ -746,6 +775,8 @@ let () =
         [
           Alcotest.test_case "vectors" `Quick test_wire_vector;
           Alcotest.test_case "payloads" `Quick test_wire_payload;
+          Alcotest.test_case "client packets known answer" `Quick
+            test_client_packets_known_answer;
         ] );
       ( "cluster",
         [

@@ -48,6 +48,36 @@ module Suite (F : Field_intf.S) = struct
     Alcotest.(check int) "proof elements M=0" 0
       (S.proof_num_elements (affine_circuit ()))
 
+  (* The prover's h-points are f·g on the 2N-grid. It gets them from the
+     even points' products and one coset transform per polynomial; the
+     reference multiplies in coefficient space, zero-pads and transforms
+     on the 2N-grid. Pinned for every grid size 2..1024. *)
+  let test_h_points_match_reference () =
+    let module N = Prio_poly.Ntt.Make (F) in
+    let module O = Prio_circuit.Opt.Make (F) in
+    List.iter
+      (fun n ->
+        let circuit = O.canonicalize (bits_circuit (n - 1)) in
+        Alcotest.(check int) "grid" n (S.grid_size circuit);
+        let inputs = random_bits (n - 1) in
+        let _, pairs = C.eval_mul_pairs circuit ~inputs in
+        let pv = S.proof_vector ~rng ~circuit ~inputs in
+        let u = Array.make n F.zero and v = Array.make n F.zero in
+        u.(0) <- pv.(0);
+        v.(0) <- pv.(1);
+        Array.iteri
+          (fun t (ut, vt) ->
+            u.(t + 1) <- ut;
+            v.(t + 1) <- vt)
+          pairs;
+        let h = N.mul (N.intt u) (N.intt v) in
+        let expected = N.ntt (Array.append h [| F.zero |]) in
+        Alcotest.(check bool)
+          (Printf.sprintf "h-points on the %d-grid" (2 * n))
+          true
+          (Array.for_all2 F.equal expected (Array.sub pv 2 (2 * n))))
+      [ 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024 ]
+
   let test_completeness () =
     List.iter
       (fun (l, s) ->
@@ -319,6 +349,8 @@ module Suite (F : Field_intf.S) = struct
   let tests =
     [
       Alcotest.test_case (F.name ^ ": grid sizes") `Quick test_grid_sizes;
+      Alcotest.test_case (F.name ^ ": h-points match reference") `Quick
+        test_h_points_match_reference;
       Alcotest.test_case (F.name ^ ": completeness") `Quick test_completeness;
       Alcotest.test_case (F.name ^ ": affine circuits") `Quick test_completeness_affine;
       Alcotest.test_case (F.name ^ ": batch reuse") `Quick test_batch_ctx_reuse;
