@@ -13,8 +13,11 @@
 open Core
 module B = Prio.Bigint
 module Rng = Prio.Rng
+module Json = Prio.Obs_json
 
-let now () = Unix.gettimeofday ()
+(* Monotonic nanoseconds: the µs-scale [*_min_s] rows need finer ticks
+   than the microsecond wall clock of [Unix.gettimeofday]. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 (** Timing statistics over repeated calls of one workload. *)
 type stats = {
@@ -84,24 +87,10 @@ let record ~experiment ~name fields =
     (("experiment", S experiment) :: ("name", S name) :: fields)
     :: !json_records
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let jfield_string = function
   | I n -> string_of_int n
   | Fl f -> if Float.is_finite f then Printf.sprintf "%.9g" f else "null"
-  | S s -> Printf.sprintf "\"%s\"" (json_escape s)
+  | S s -> Printf.sprintf "\"%s\"" (Json.escape s)
   | B b -> string_of_bool b
 
 let write_json path =
@@ -126,168 +115,6 @@ let write_json path =
   output_string oc "\n}\n"
 
 (* ---------------------------------------------------------------------- *)
-(* A minimal JSON reader — just enough to load a BENCH_PRIO.json written  *)
-(* by [write_json] (or an Obs report scraped over the wire) back in for   *)
-(* [--check] and for mining stage percentiles out of a live scrape.       *)
-(* ---------------------------------------------------------------------- *)
-
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jarr of json list
-  | Jobj of (string * json) list
-
-exception Json_error of string
-
-let json_parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let fail msg = raise (Json_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let rec skip_ws () =
-    if !pos < n then
-      match s.[!pos] with
-      | ' ' | '\t' | '\n' | '\r' ->
-        incr pos;
-        skip_ws ()
-      | _ -> ()
-  in
-  let expect c =
-    if !pos < n && s.[!pos] = c then incr pos
-    else fail (Printf.sprintf "expected %C" c)
-  in
-  let literal w v =
-    let l = String.length w in
-    if !pos + l <= n && String.sub s !pos l = w then begin
-      pos := !pos + l;
-      v
-    end
-    else fail "bad literal"
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' ->
-        incr pos;
-        Buffer.contents buf
-      | '\\' ->
-        incr pos;
-        if !pos >= n then fail "unterminated escape";
-        (match s.[!pos] with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'u' ->
-          if !pos + 4 >= n then fail "short \\u escape";
-          let code =
-            match int_of_string_opt ("0x" ^ String.sub s (!pos + 1) 4) with
-            | Some c -> c
-            | None -> fail "bad \\u escape"
-          in
-          pos := !pos + 4;
-          (* our writers only \u-escape control characters; anything
-             outside ASCII degrades to a replacement byte *)
-          Buffer.add_char buf (if code < 0x80 then Char.chr code else '?')
-        | c -> fail (Printf.sprintf "bad escape %C" c));
-        incr pos;
-        go ()
-      | c ->
-        Buffer.add_char buf c;
-        incr pos;
-        go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && num_char s.[!pos] do
-      incr pos
-    done;
-    if !pos = start then fail "expected a value";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Jstr (parse_string ())
-    | Some '{' ->
-      incr pos;
-      skip_ws ();
-      if peek () = Some '}' then begin
-        incr pos;
-        Jobj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            incr pos;
-            members ((k, v) :: acc)
-          | Some '}' ->
-            incr pos;
-            List.rev ((k, v) :: acc)
-          | _ -> fail "expected ',' or '}'"
-        in
-        Jobj (members [])
-      end
-    | Some '[' ->
-      incr pos;
-      skip_ws ();
-      if peek () = Some ']' then begin
-        incr pos;
-        Jarr []
-      end
-      else begin
-        let rec elems acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            incr pos;
-            elems (v :: acc)
-          | Some ']' ->
-            incr pos;
-            List.rev (v :: acc)
-          | _ -> fail "expected ',' or ']'"
-        in
-        Jarr (elems [])
-      end
-    | Some 't' -> literal "true" (Jbool true)
-    | Some 'f' -> literal "false" (Jbool false)
-    | Some 'n' -> literal "null" Jnull
-    | Some _ -> Jnum (parse_number ())
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let json_member k = function Jobj kvs -> List.assoc_opt k kvs | _ -> None
-
-(* ---------------------------------------------------------------------- *)
 (* [--check <path>]: tolerance-band regression guard against a committed  *)
 (* result file. Strings and bools must match exactly; numbers must agree  *)
 (* within a multiplicative band (larger/smaller <= 1 + tolerance), so     *)
@@ -304,13 +131,13 @@ let check_against path ~tolerance =
     let ic = open_in_bin path in
     let s = really_input_string ic (in_channel_length ic) in
     close_in ic;
-    json_parse s
+    Json.parse s
   in
   let committed =
-    match json_member "records" doc with
-    | Some (Jarr rows) ->
-      List.filter_map (function Jobj kvs -> Some kvs | _ -> None) rows
-    | _ -> raise (Json_error (path ^ ": no \"records\" array"))
+    match Json.member "records" doc with
+    | Some (Json.Arr rows) ->
+      List.filter_map (function Json.Obj kvs -> Some kvs | _ -> None) rows
+    | _ -> raise (Json.Error (path ^ ": no \"records\" array"))
   in
   let fresh = List.rev !json_records in
   let fresh_key fields =
@@ -323,7 +150,7 @@ let check_against path ~tolerance =
   in
   let committed_key kvs =
     match (List.assoc_opt "experiment" kvs, List.assoc_opt "name" kvs) with
-    | Some (Jstr e), Some (Jstr n) -> Some (e, n)
+    | Some (Json.Str e), Some (Json.Str n) -> Some (e, n)
     | _ -> None
   in
   let failures = ref [] in
@@ -340,18 +167,18 @@ let check_against path ~tolerance =
   in
   let check_field ~exp ~name k reference measured =
     match (reference, measured) with
-    | Jstr r, S m ->
+    | Json.Str r, S m ->
       if r <> m then
         complain "%s/%s %s: %S, reference says %S" exp name k m r
-    | Jbool r, B m ->
+    | Json.Bool r, B m ->
       if r <> m then
         complain "%s/%s %s: %b, reference says %b" exp name k m r
-    | Jnum r, (I _ | Fl _) ->
+    | Json.Num r, (I _ | Fl _) ->
       let m = match measured with I i -> float_of_int i | Fl f -> f | _ -> 0. in
       if not (band_ok r m) then
         complain "%s/%s %s: %.6g, outside x%.2f band of reference %.6g" exp
           name k m (1. +. tolerance) r
-    | Jnull, Fl f when not (Float.is_finite f) -> ()
+    | Json.Null, Fl f when not (Float.is_finite f) -> ()
     | _ ->
       complain "%s/%s %s: kind differs from reference" exp name k
   in
@@ -1261,21 +1088,21 @@ let streaming () =
         (Prio_proto.Net.string_of_protocol_error e);
       ([], [])
     | Ok text -> (
-      match json_parse text with
-      | exception Json_error _ -> ([], [])
+      match Json.parse text with
+      | exception Json.Error _ -> ([], [])
       | report ->
         let stages =
           List.concat_map
             (fun stage ->
               let h =
-                json_member
+                Json.member
                   (Printf.sprintf "prio_stage_%s_seconds" stage)
                   report
               in
               List.filter_map
                 (fun q ->
-                  match Option.map (json_member q) h with
-                  | Some (Some (Jnum v)) ->
+                  match Option.map (Json.member q) h with
+                  | Some (Some (Json.Num v)) ->
                     Some (Printf.sprintf "%s_%s_s" stage q, Fl v)
                   | _ -> None)
                 [ "p50"; "p95"; "p99" ])
@@ -1286,16 +1113,18 @@ let streaming () =
            mean is band-checked; the worst single fsync and the append
            count are presence-only (`*_max_s` / `*_count`). *)
         let journal =
-          (match json_member "prio_journal_appends_total" report with
-          | Some (Jnum v) -> [ ("journal_appends_count", I (int_of_float v)) ]
+          (match Json.member "prio_journal_appends_total" report with
+          | Some (Json.Num v) ->
+            [ ("journal_appends_count", I (int_of_float v)) ]
           | _ -> [])
           @
-          match json_member "prio_journal_fsync_seconds" report with
+          match Json.member "prio_journal_fsync_seconds" report with
           | Some h -> (
             match
-              (json_member "count" h, json_member "sum" h, json_member "max" h)
+              (Json.member "count" h, Json.member "sum" h, Json.member "max" h)
             with
-            | Some (Jnum c), Some (Jnum s), Some (Jnum m) when c > 0. ->
+            | Some (Json.Num c), Some (Json.Num s), Some (Json.Num m)
+              when c > 0. ->
               [
                 ("journal_fsync_mean_s", Fl (s /. c));
                 ("journal_fsync_max_s", Fl m);
@@ -1470,7 +1299,7 @@ let net_scaling () =
   let domain_counts = [ 1; 2; 4; 8 ] in
   (* Fork before spawn: the runtime refuses [Unix.fork] in a process that
      has ever spawned a domain, so every deployment is launched up front,
-     before the first multi-domain batch spawns pool workers here. *)
+     before the first multi-domain batch spawns domains here. *)
   let deployments =
     List.map
       (fun domains ->

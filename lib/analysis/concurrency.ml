@@ -3,12 +3,11 @@
    Three stages over the call graph:
 
    1. Roots: every call site of a domain-entry primitive — [Domain.spawn]
-      plus the repo's own fan-out points ([Pool.submit]/[map_array],
-      [Parallel.process], [Pipeline.process_parallel]) — marks the
-      functions referenced in its argument subtrees as running on a
-      worker domain. The primitive itself (when intra-repo) is marked
-      too: once a pool is in play its queue machinery runs concurrently
-      with the workers. Closures that are stored and invoked through
+      plus the repo's own fan-out points ([Parallel.map],
+      [Parallel.process]) — marks the functions referenced in its
+      argument subtrees as running on a worker domain. The primitive
+      itself (when intra-repo) is marked too: its body runs on every
+      domain it fans out to. Closures that are stored and invoked through
       data structures are only visible at these known spawn points
       (documented under-approximation).
 
@@ -42,11 +41,8 @@ let path_of lid =
 (* Intra-repo fan-out points, by canonical id. *)
 let spawn_fn_ids =
   [
-    "Prio_proto.Pool.submit";
-    "Prio_proto.Pool.map_array";
+    "Prio_proto.Parallel.map";
     "Prio_proto.Parallel.Make.process";
-    "Prio_proto.Pipeline.Make.process_parallel";
-    "Prio_proto.Pipeline.Nizk_pipeline.process_parallel";
   ]
 
 let is_domain_spawn lid = path_of lid = [ "Domain"; "spawn" ]

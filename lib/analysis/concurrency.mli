@@ -1,7 +1,7 @@
 (** The [domain-unsafe-state] pass: flag unguarded uses of inventoried
     module-level mutable state ({!Mutstate}) from code reachable from a
-    domain-entry point ([Domain.spawn], [Pool.submit]/[map_array],
-    [Parallel.process], [Pipeline.process_parallel]).
+    domain-entry point ([Domain.spawn], [Parallel.map],
+    [Parallel.process]).
 
     Recognized guards: bodies that take [Mutex.lock]/[Mutex.protect] or
     use [Domain.DLS] directly; argument subtrees of calls to such
@@ -11,7 +11,8 @@
     flagged too. *)
 
 val spawn_fn_ids : string list
-(** Canonical ids of the repo's own fan-out primitives. *)
+(** Canonical ids of the repo's own fan-out primitives; each must name a
+    function the whole-repo call graph defines (pinned by a test). *)
 
 val run : Callgraph.t -> Rules.finding list
 (** All findings across the graph, sorted and deduplicated; finding

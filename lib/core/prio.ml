@@ -35,6 +35,7 @@ module Obs_clock = Prio_obs.Clock
 module Obs_metrics = Prio_obs.Metrics
 module Obs_trace = Prio_obs.Trace
 module Obs_report = Prio_obs.Report
+module Obs_json = Prio_obs.Json
 
 module Dp = Prio_proto.Dp
 module Registry = Prio_proto.Registry
@@ -42,7 +43,6 @@ module Retry = Prio_proto.Retry
 module Faults = Prio_proto.Faults
 module Transport = Prio_proto.Net
 module Snapshot = Prio_proto.Checkpoint
-module Pool = Prio_proto.Pool
 module Schnorr = Prio_nizk.Schnorr
 module Nizk_group = Prio_nizk.Group
 module Nizk_pedersen = Prio_nizk.Pedersen

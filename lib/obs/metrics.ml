@@ -14,8 +14,8 @@
     single [Atomic] RMW; gauges are an atomic last-writer-wins cell;
     histogram bucket/count cells are atomic and the float accumulators
     (sum, min, max) are updated through CAS retry loops, so no sample is
-    ever lost under concurrent domains ({!Parallel} and the proto worker
-    pool record from many domains at once). *)
+    ever lost under concurrent domains ([Parallel.map] callers record
+    from many domains at once). *)
 
 (* ------------------------------ no-op mode ----------------------------- *)
 

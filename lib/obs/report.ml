@@ -48,20 +48,6 @@ let prometheus () =
     (Metrics.snapshot ());
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_float f =
   (* JSON has no Inf literal; clamp to null which consumers treat as absent *)
   if Float.is_finite f then
@@ -75,7 +61,7 @@ let json () =
   List.iteri
     (fun i (name, v) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":" (json_escape name));
+      Buffer.add_string buf (Printf.sprintf "\"%s\":" (Json.escape name));
       match v with
       | Metrics.Counter_v n -> Buffer.add_string buf (string_of_int n)
       | Metrics.Gauge_v x -> Buffer.add_string buf (json_float x)

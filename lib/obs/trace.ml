@@ -203,22 +203,6 @@ let spans r =
           | Some sp -> sp
           | None -> assert false (* slots below [total] are always filled *)))
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let float_lit f =
   if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.0f" f
@@ -228,40 +212,37 @@ let float_lit f =
     let s = Printf.sprintf "%.12g" f in
     if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
-let span_to_json ~origin sp =
+(* One JSONL record; [id] and [parent] arrive as rendered literals (local
+   ints in a dump, origin-qualified strings in a merge). *)
+let record_to_json ~id ~parent ~origin ~trace ~remote ~kind ~name ~start
+    ~duration attrs =
   let buf = Buffer.create 128 in
-  Buffer.add_string buf (Printf.sprintf "{\"id\":%d" sp.id);
-  (match sp.parent with
-  | None -> Buffer.add_string buf ",\"parent\":null"
-  | Some p -> Buffer.add_string buf (Printf.sprintf ",\"parent\":%d" p));
-  Buffer.add_string buf
-    (Printf.sprintf ",\"origin\":\"%s\"" (json_escape origin));
-  Buffer.add_string buf
-    (Printf.sprintf ",\"trace\":\"%s\"" (json_escape sp.trace));
-  (match sp.remote with
-  | None -> ()
-  | Some ref_ ->
-    Buffer.add_string buf
-      (Printf.sprintf ",\"remote\":\"%s\"" (json_escape ref_)));
-  Buffer.add_string buf
-    (Printf.sprintf ",\"kind\":%s"
-       (match sp.kind with Span -> "\"span\"" | Event -> "\"event\""));
-  Buffer.add_string buf (Printf.sprintf ",\"name\":\"%s\"" (json_escape sp.name));
-  Buffer.add_string buf (Printf.sprintf ",\"start\":%s" (float_lit sp.start));
-  if sp.kind = Span then
-    Buffer.add_string buf (Printf.sprintf ",\"duration\":%s" (float_lit sp.duration));
-  if sp.attrs <> [] then begin
+  let str s = "\"" ^ Json.escape s ^ "\"" in
+  Printf.bprintf buf "{\"id\":%s,\"parent\":%s,\"origin\":%s,\"trace\":%s"
+    id parent (str origin) (str trace);
+  Option.iter (fun r -> Printf.bprintf buf ",\"remote\":%s" (str r)) remote;
+  Printf.bprintf buf ",\"kind\":%s,\"name\":%s,\"start\":%s"
+    (match kind with Span -> "\"span\"" | Event -> "\"event\"")
+    (str name) (float_lit start);
+  if kind = Span then
+    Printf.bprintf buf ",\"duration\":%s" (float_lit duration);
+  if attrs <> [] then begin
     Buffer.add_string buf ",\"attrs\":{";
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf
-          (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-      sp.attrs;
+        Printf.bprintf buf "%s:%s" (str k) (str v))
+      attrs;
     Buffer.add_char buf '}'
   end;
   Buffer.add_char buf '}';
   Buffer.contents buf
+
+let span_to_json ~origin sp =
+  record_to_json ~id:(string_of_int sp.id)
+    ~parent:(match sp.parent with None -> "null" | Some p -> string_of_int p)
+    ~origin ~trace:sp.trace ~remote:sp.remote ~kind:sp.kind ~name:sp.name
+    ~start:sp.start ~duration:sp.duration sp.attrs
 
 let to_jsonl r =
   let buf = Buffer.create 1024 in
@@ -314,124 +295,6 @@ let tree r =
 
 (* --------------------------- cross-process merge ----------------------- *)
 
-(* A minimal JSON reader covering exactly the subset {!to_jsonl} emits
-   (objects, strings with the escapes {!json_escape} produces, numbers,
-   null). Unparseable lines are skipped by the merge — a torn last line
-   from a killed process must not poison the rest of the dump. *)
-module Json_line = struct
-  exception Bad
-
-  type v =
-    | Null
-    | Num of float
-    | Str of string
-    | Obj of (string * v) list
-
-  let parse line =
-    let n = String.length line in
-    let pos = ref 0 in
-    let peek () = if !pos >= n then raise Bad else line.[!pos] in
-    let advance () = incr pos in
-    let skip_ws () =
-      while !pos < n && (match line.[!pos] with ' ' | '\t' -> true | _ -> false)
-      do advance () done
-    in
-    let expect c = if peek () <> c then raise Bad else advance () in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | '"' -> advance (); Buffer.contents buf
-        | '\\' ->
-          advance ();
-          (match peek () with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 'u' ->
-            if !pos + 4 >= n then raise Bad;
-            let hex = String.sub line (!pos + 1) 4 in
-            (match int_of_string_opt ("0x" ^ hex) with
-            | Some c when c < 0x80 -> Buffer.add_char buf (Char.chr c)
-            | Some _ -> Buffer.add_char buf '?'
-            | None -> raise Bad);
-            pos := !pos + 4
-          | _ -> raise Bad);
-          advance ();
-          go ()
-        | c -> Buffer.add_char buf c; advance (); go ()
-      in
-      go ()
-    in
-    let parse_number () =
-      let start = !pos in
-      while
-        !pos < n
-        && (match line.[!pos] with
-           | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-           | _ -> false)
-      do advance () done;
-      match float_of_string_opt (String.sub line start (!pos - start)) with
-      | Some f -> f
-      | None -> raise Bad
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | '"' -> Str (parse_string ())
-      | '{' -> parse_obj ()
-      | 'n' ->
-        if !pos + 4 <= n && String.sub line !pos 4 = "null" then begin
-          pos := !pos + 4; Null
-        end
-        else raise Bad
-      | 't' ->
-        if !pos + 4 <= n && String.sub line !pos 4 = "true" then begin
-          pos := !pos + 4; Num 1.
-        end
-        else raise Bad
-      | 'f' ->
-        if !pos + 5 <= n && String.sub line !pos 5 = "false" then begin
-          pos := !pos + 5; Num 0.
-        end
-        else raise Bad
-      | _ -> Num (parse_number ())
-    and parse_obj () =
-      expect '{';
-      skip_ws ();
-      if peek () = '}' then begin advance (); Obj [] end
-      else begin
-        let fields = ref [] in
-        let rec field () =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          fields := (k, v) :: !fields;
-          skip_ws ();
-          match peek () with
-          | ',' -> advance (); field ()
-          | '}' -> advance ()
-          | _ -> raise Bad
-        in
-        field ();
-        Obj (List.rev !fields)
-      end
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then raise Bad;
-    v
-
-  let find k = function Obj fields -> List.assoc_opt k fields | _ -> None
-  let str = function Some (Str s) -> Some s | _ -> None
-  let num = function Some (Num f) -> Some f | _ -> None
-end
-
 type merged = {
   m_id : string;  (** origin-qualified reference, ["server0#3"] *)
   m_parent : string option;  (** resolved parent reference, local or remote *)
@@ -445,47 +308,44 @@ type merged = {
 }
 
 (* Parse one JSONL doc into merged records (parents unresolved yet);
-   [fallback] labels docs whose lines carry no origin. *)
+   [fallback] labels docs whose lines carry no origin. Unparseable lines
+   are skipped: a torn last line from a killed process must not poison
+   the rest of the dump. *)
 let parse_doc ~fallback doc =
   let parse_line line =
-    match Json_line.parse line with
-    | exception Json_line.Bad -> None
+    match Json.parse line with
+    | exception Json.Error _ -> None
     | j ->
-      let open Json_line in
-      (match (num (find "id" j), str (find "name" j)) with
+      let str k =
+        match Json.member k j with Some (Json.Str s) -> Some s | _ -> None
+      in
+      let num k =
+        match Json.member k j with Some (Json.Num f) -> Some f | _ -> None
+      in
+      (match (num "id", str "name") with
       | Some id, Some name ->
-        let origin =
-          match str (find "origin" j) with Some o -> o | None -> fallback
-        in
+        let origin = Option.value (str "origin") ~default:fallback in
         let attrs =
-          match find "attrs" j with
-          | Some (Obj fields) ->
+          match Json.member "attrs" j with
+          | Some (Json.Obj fields) ->
             List.filter_map
               (fun (k, v) ->
-                match v with Str s -> Some (k, s) | _ -> None)
+                match v with Json.Str s -> Some (k, s) | _ -> None)
               fields
           | _ -> []
         in
         Some
-          ( (match num (find "parent" j) with
-            | Some p -> Some (int_of_float p)
-            | None -> None),
-            str (find "remote" j),
+          ( Option.map int_of_float (num "parent"),
+            str "remote",
             {
               m_id = origin ^ "#" ^ string_of_int (int_of_float id);
               m_parent = None;
               m_origin = origin;
-              m_trace =
-                (match str (find "trace" j) with Some t -> t | None -> "");
-              m_kind =
-                (match str (find "kind" j) with
-                | Some "event" -> Event
-                | _ -> Span);
+              m_trace = Option.value (str "trace") ~default:"";
+              m_kind = (if str "kind" = Some "event" then Event else Span);
               m_name = name;
-              m_start =
-                (match num (find "start" j) with Some s -> s | None -> 0.);
-              m_duration =
-                (match num (find "duration" j) with Some d -> d | None -> 0.);
+              m_start = Option.value (num "start") ~default:0.;
+              m_duration = Option.value (num "duration") ~default:0.;
               m_attrs = attrs;
             } )
       | _ -> None)
@@ -556,36 +416,11 @@ let merge docs =
   List.rev !buf
 
 let merged_to_json m =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf (Printf.sprintf "{\"id\":\"%s\"" (json_escape m.m_id));
-  (match m.m_parent with
-  | None -> Buffer.add_string buf ",\"parent\":null"
-  | Some p ->
-    Buffer.add_string buf (Printf.sprintf ",\"parent\":\"%s\"" (json_escape p)));
-  Buffer.add_string buf
-    (Printf.sprintf ",\"origin\":\"%s\"" (json_escape m.m_origin));
-  Buffer.add_string buf
-    (Printf.sprintf ",\"trace\":\"%s\"" (json_escape m.m_trace));
-  Buffer.add_string buf
-    (Printf.sprintf ",\"kind\":%s"
-       (match m.m_kind with Span -> "\"span\"" | Event -> "\"event\""));
-  Buffer.add_string buf (Printf.sprintf ",\"name\":\"%s\"" (json_escape m.m_name));
-  Buffer.add_string buf (Printf.sprintf ",\"start\":%s" (float_lit m.m_start));
-  if m.m_kind = Span then
-    Buffer.add_string buf
-      (Printf.sprintf ",\"duration\":%s" (float_lit m.m_duration));
-  if m.m_attrs <> [] then begin
-    Buffer.add_string buf ",\"attrs\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf
-          (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-      m.m_attrs;
-    Buffer.add_char buf '}'
-  end;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let quote s = "\"" ^ Json.escape s ^ "\"" in
+  record_to_json ~id:(quote m.m_id)
+    ~parent:(match m.m_parent with None -> "null" | Some p -> quote p)
+    ~origin:m.m_origin ~trace:m.m_trace ~remote:None ~kind:m.m_kind
+    ~name:m.m_name ~start:m.m_start ~duration:m.m_duration m.m_attrs
 
 let merge_jsonl docs =
   let buf = Buffer.create 1024 in

@@ -29,7 +29,6 @@ module Make (F : Prio_field.Field_intf.S) = struct
   module Rng = Prio_crypto.Rng
   module Metrics = Prio_obs.Metrics
   module Trace = Prio_obs.Trace
-  module Clock = Prio_obs.Clock
 
   (* Unified byte/latency channels (ISSUE 4): the links matrix below stays
      the per-link source of truth; these global metrics are the cross-layer
@@ -66,12 +65,6 @@ module Make (F : Prio_field.Field_intf.S) = struct
     epoch_size : int;
         (** submissions per replay/idempotency epoch; 0 disables rotation
             (the pre-streaming behaviour: tables grow with the stream) *)
-    epoch_max_age_s : float;
-        (** maximum epoch age in seconds before rotation, measured on
-            [clock]; 0 disables the age trigger. Either trigger
-            (count or age) closes the epoch. *)
-    clock : Clock.t;  (** drives the age trigger; injectable for tests *)
-    mutable epoch_started_at : float;
     mutable epoch : int;
     mutable submissions_in_epoch : int;
     links : int array array;  (** links.(i).(j): bytes sent i → j *)
@@ -87,9 +80,8 @@ module Make (F : Prio_field.Field_intf.S) = struct
     | Robust_mpc -> Client.Robust_mpc (C.num_mul_gates t.circuit)
     | No_robustness -> Client.No_robustness
 
-  let create ?(batch_size = 1024) ?(epoch_size = 0) ?(epoch_max_age_s = 0.)
-      ?(clock = Clock.system) ~rng ~mode ~(circuit : C.t) ~trunc_len
-      ~num_servers ~master () =
+  let create ?(batch_size = 1024) ?(epoch_size = 0) ~rng ~mode
+      ~(circuit : C.t) ~trunc_len ~num_servers ~master () =
     if num_servers < 1 then invalid_arg "Cluster.create: need a server";
     if (mode <> No_robustness) && num_servers < 2 then
       invalid_arg "Cluster.create: robustness needs at least two servers";
@@ -122,8 +114,6 @@ module Make (F : Prio_field.Field_intf.S) = struct
     in
     if batch_size < 1 then invalid_arg "Cluster.create: batch_size < 1";
     if epoch_size < 0 then invalid_arg "Cluster.create: epoch_size < 0";
-    if epoch_max_age_s < 0. then
-      invalid_arg "Cluster.create: epoch_max_age_s < 0";
     {
       mode;
       circuit;
@@ -138,9 +128,6 @@ module Make (F : Prio_field.Field_intf.S) = struct
       processed_in_batch = 0;
       batches = 1;
       epoch_size;
-      epoch_max_age_s;
-      clock;
-      epoch_started_at = Clock.now clock;
       epoch = 0;
       submissions_in_epoch = 0;
       links = Array.make_matrix num_servers num_servers 0;
@@ -188,23 +175,15 @@ module Make (F : Prio_field.Field_intf.S) = struct
     Array.iter Server.rotate_epoch t.servers;
     t.epoch <- t.epoch + 1;
     t.submissions_in_epoch <- 0;
-    t.epoch_started_at <- Clock.now t.clock;
     Trace.event "cluster.epoch_rotated"
       ~attrs:[ ("epoch", string_of_int t.epoch) ]
 
   (* Streaming mode: rotate the per-submission tables every [epoch_size]
-     submissions — or once the epoch is [epoch_max_age_s] seconds old —
-     so memory stays flat over an unbounded stream and a trickle of
-     submissions cannot keep replay nonces resident forever. *)
+     submissions, so memory stays flat over an unbounded stream. *)
   let maybe_rotate_epoch t =
-    if t.epoch_size > 0 || t.epoch_max_age_s > 0. then begin
+    if t.epoch_size > 0 then begin
       t.submissions_in_epoch <- t.submissions_in_epoch + 1;
-      if t.epoch_size > 0 && t.submissions_in_epoch >= t.epoch_size then
-        rotate_epoch t
-      else if
-        t.epoch_max_age_s > 0.
-        && Clock.now t.clock -. t.epoch_started_at >= t.epoch_max_age_s
-      then rotate_epoch t
+      if t.submissions_in_epoch >= t.epoch_size then rotate_epoch t
     end
 
   let send t ~src ~dst nbytes =
@@ -377,7 +356,6 @@ module Make (F : Prio_field.Field_intf.S) = struct
     if dst.s <> src.s || dst.trunc_len <> src.trunc_len
        || dst.batch_size <> src.batch_size || dst.mode <> src.mode
        || dst.epoch_size <> src.epoch_size
-       || dst.epoch_max_age_s <> src.epoch_max_age_s
     then invalid_arg "Cluster.merge_into: mismatched deployments";
     Array.iteri
       (fun i srv ->

@@ -39,11 +39,6 @@ module Make (F : Prio_field.Field_intf.S) : sig
     mutable batches : int;
     epoch_size : int;
         (** submissions per replay/idempotency epoch; 0 = never rotate *)
-    epoch_max_age_s : float;
-        (** maximum epoch age in seconds before rotation (0 = no age
-            trigger); either trigger closes the epoch *)
-    clock : Prio_obs.Clock.t;
-    mutable epoch_started_at : float;
     mutable epoch : int;
     mutable submissions_in_epoch : int;
     links : int array array;  (** links.(i).(j): bytes sent i → j *)
@@ -57,18 +52,14 @@ module Make (F : Prio_field.Field_intf.S) : sig
   (** The client-side mode matching this deployment. *)
 
   val create :
-    ?batch_size:int -> ?epoch_size:int -> ?epoch_max_age_s:float ->
-    ?clock:Prio_obs.Clock.t -> rng:Prio_crypto.Rng.t ->
+    ?batch_size:int -> ?epoch_size:int -> rng:Prio_crypto.Rng.t ->
     mode:mode -> circuit:C.t -> trunc_len:int -> num_servers:int ->
     master:Bytes.t -> unit -> t
   (** [batch_size] (default 1024) bounds how many submissions share one
       identity-test point r before resampling. [epoch_size] (default 0 =
       off) bounds how many submissions' replay/idempotency entries stay
       resident before {!rotate_epoch} drops them — the streaming-mode
-      flat-memory knob. [epoch_max_age_s] (default 0 = off) additionally
-      rotates an epoch older than that many seconds on [clock] (default
-      the system clock; injectable for tests), so a slow trickle of
-      submissions cannot keep replay state resident forever. *)
+      flat-memory knob. *)
 
   val resident_entries : t -> int
   (** Per-submission state currently resident across all servers; with

@@ -1849,8 +1849,8 @@ module Make (F : Prio_field.Field_intf.S) = struct
     outcome
 
   (** Drive a whole prepared batch against the deployment, [domains]
-      submissions in flight at once (each on its own pool thread with a
-      deterministically split RNG), each over a throwaway session.
+      submissions in flight at once (each on a {!Parallel.map} domain
+      with a deterministically split RNG), each over a throwaway session.
       Verification of distinct clients is independent and the servers'
       per-client decisions don't depend on arrival order, so the outcome
       array — returned in packet order — is the same as submitting
@@ -1865,7 +1865,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
           ("domains", string_of_int domains) ]
     @@ fun () ->
     (* split before dispatch: RNG derivation stays in packet order no
-       matter how the pool schedules the submissions *)
+       matter which domain takes which submission *)
     let rngs = Array.map (fun _ -> Rng.split rng) packets in
     let submit i =
       let client_id, pk = packets.(i) in
@@ -1874,14 +1874,8 @@ module Make (F : Prio_field.Field_intf.S) = struct
         ~finally:(fun () -> close_session s)
         (fun () -> submit_packets_session ?faults s ~rng:rngs.(i) ~client_id pk)
     in
-    let indices = Array.init (Array.length packets) Fun.id in
-    if domains <= 1 then Array.map submit indices
-    else begin
-      let pool = Pool.create ~domains in
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () -> Pool.map_array pool submit indices)
-    end
+    Parallel.map ~domains:(max 1 domains) submit
+      (Array.init (Array.length packets) Fun.id)
 
   (** Fetch and sum all accumulators. [Error (i, e)] names the first
       unreachable or garbled server and the structured cause. *)

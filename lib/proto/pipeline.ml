@@ -18,7 +18,6 @@ module Make (F : Prio_field.Field_intf.S) = struct
   module C = Prio_circuit.Circuit.Make (F)
   module Cluster = Cluster.Make (F)
   module Client = Client.Make (F)
-  module Parallel = Parallel.Make (F)
   module Rng = Prio_crypto.Rng
   module Trace = Prio_obs.Trace
 
@@ -70,24 +69,6 @@ module Make (F : Prio_field.Field_intf.S) = struct
             0 p.packets)
     in
     (accepted, seconds)
-
-  (** Multicore variant of {!process}: verify the batch on [domains]
-      replica clusters (via {!Parallel.process}, optionally on a resident
-      {!Pool}) and return the merged cluster, the accepted count, and the
-      wall-clock seconds. The merged state is bit-identical to a
-      sequential {!process} over the same packets. *)
-  let process_parallel ?pool ~(make_replica : unit -> Cluster.t) ~domains
-      (p : prepared) : Cluster.t * int * float =
-    Trace.with_span "server.process_parallel"
-      ~attrs:
-        [ ("submissions", string_of_int (Array.length p.packets));
-          ("domains", string_of_int domains) ]
-    @@ fun () ->
-    let (cluster, accepted), seconds =
-      time (fun () ->
-          Parallel.process ?pool ~make_replica ~domains p.packets)
-    in
-    (cluster, accepted, seconds)
 
   let simulated_throughput ~num_servers ~n ~serial_seconds =
     if serial_seconds <= 0. then infinity

@@ -28,15 +28,6 @@ module Make (F : Prio_field.Field_intf.S) : sig
   val process : Cluster.t -> prepared -> int * float
   (** Feed the batch through the cluster: (accepted, serial seconds). *)
 
-  val process_parallel :
-    ?pool:Pool.t ->
-    make_replica:(unit -> Cluster.t) ->
-    domains:int -> prepared -> Cluster.t * int * float
-  (** Multicore {!process}: shard across [domains] replica clusters and
-      merge (deterministically, in shard order); returns the merged
-      cluster, accepted count, and wall-clock seconds. The merged state
-      matches a sequential run over the same packets exactly. *)
-
   val simulated_throughput : num_servers:int -> n:int -> serial_seconds:float -> float
 end
 

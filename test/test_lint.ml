@@ -324,6 +324,28 @@ let test_callgraph () =
     "direct library call from inside a functor" [ "Prio_obs.Trace.event" ]
     (calls "Prio_proto.Cluster.Make.submit")
 
+(* Every race-check root names a function the whole repo defines: a
+   renamed or deleted fan-out point would otherwise silently stop rooting
+   the domain-unsafe-state walk. *)
+let test_spawn_roots_resolve () =
+  let files =
+    Driver.source_files ~root:".." [ "lib"; "bin"; "bench"; "examples" ]
+    |> List.filter (fun f -> Filename.check_suffix f ".ml")
+    |> List.map (fun path ->
+           let src = read_file (Filename.concat ".." path) in
+           match Driver.parse_implementation ~path src with
+           | Ok str -> (path, src, str)
+           | Error d -> Alcotest.failf "parse %s: %s" path (D.to_string d))
+  in
+  let cg = Callgraph.build files in
+  List.iter
+    (fun id ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s is defined" id)
+        true
+        (Option.is_some (Callgraph.find cg id)))
+    Prio_analysis.Concurrency.spawn_fn_ids
+
 (* ------------------------------ policy ------------------------------- *)
 
 let test_policy () =
@@ -631,6 +653,8 @@ let () =
           Alcotest.test_case "secret-flow negatives" `Quick
             test_taint_negatives;
           Alcotest.test_case "call-graph resolution" `Quick test_callgraph;
+          Alcotest.test_case "race-check roots resolve" `Quick
+            test_spawn_roots_resolve;
         ] );
       ("policy", [ Alcotest.test_case "severity map" `Quick test_policy ]);
       ( "budget",

@@ -9,6 +9,7 @@ module Clock = Prio.Obs_clock
 module Metrics = Prio.Obs_metrics
 module Trace = Prio.Obs_trace
 module Report = Prio.Obs_report
+module Json = Prio.Obs_json
 module Faults = Prio.Faults
 
 let contains ~affix s =
@@ -614,6 +615,69 @@ let test_report_json_roundtrip () =
   Alcotest.(check bool) "buckets rendered as [le,count] pairs" true
     (contains ~affix:"\"buckets\":[[" json)
 
+let test_report_json_pinned () =
+  (* a fixed registry's members, byte for byte as the exporter has always
+     printed them (snapshot order is by name, so they sit contiguously) *)
+  let a = Metrics.counter "test_obs_pin_a_total" in
+  let b = Metrics.gauge "test_obs_pin_b_gauge" in
+  let c = Metrics.histogram "test_obs_pin_c_seconds" in
+  let d = Metrics.counter "test_obs_pin_d \"q\\\n\001" in
+  let _e = Metrics.histogram "test_obs_pin_e_seconds" in
+  Metrics.reset ();
+  Metrics.add a 7;
+  Metrics.set b 0.1;
+  List.iter (Metrics.observe c) [ 0.25; 0.5; 3.0 ];
+  Metrics.add d 2;
+  let pinned =
+    {|"test_obs_pin_a_total":7,"test_obs_pin_b_gauge":0.1,|}
+    ^ {|"test_obs_pin_c_seconds":{"count":3,"sum":3.75,"min":0.25,"max":3,|}
+    ^ {|"p50":0.75,"p95":3,"p99":3,"buckets":[[0.5,1],[1,1],[4,1]]},|}
+    ^ {|"test_obs_pin_d \"q\\\n\u0001":2,|}
+    ^ {|"test_obs_pin_e_seconds":{"count":0,"sum":0,"min":null,"max":null,|}
+    ^ {|"p50":null,"p95":null,"p99":null,"buckets":[]}|}
+  in
+  let json = Report.json () in
+  Alcotest.(check bool) "pinned members present verbatim" true
+    (contains ~affix:pinned json);
+  Alcotest.(check bool) "the whole report parses" true
+    (match Json.parse json with Json.Obj _ -> true | _ -> false)
+
+(* -------------------------------- json ------------------------------- *)
+
+let test_json_escape_roundtrip () =
+  let st = Random.State.make [| 20 |] in
+  for _ = 1 to 500 do
+    let s =
+      String.init (Random.State.int st 40) (fun _ ->
+          Char.chr (Random.State.int st 0x80))
+    in
+    match Json.parse ("\"" ^ Json.escape s ^ "\"") with
+    | Json.Str s' when String.equal s s' -> ()
+    | _ -> Alcotest.failf "escape/parse lost %S" s
+  done
+
+let test_json_errors () =
+  List.iter
+    (fun (what, doc) ->
+      match Json.parse doc with
+      | exception Json.Error _ -> ()
+      | _ -> Alcotest.failf "%s accepted: %S" what doc)
+    [
+      ("unterminated string", {|{"a":"abc|});
+      ("trailing garbage", {|{"a":1} x|});
+      ("bad \\u escape", {|"\u12g4"|});
+      ("short \\u escape", {|"\u12"|});
+    ];
+  Alcotest.(check bool) "nested document" true
+    (Json.parse {| {"a":[1,true,null,"x\ty"],"b":{}} |}
+    = Json.Obj
+        [
+          ( "a",
+            Json.Arr
+              [ Json.Num 1.; Json.Bool true; Json.Null; Json.Str "x\ty" ] );
+          ("b", Json.Obj []);
+        ])
+
 let () =
   Alcotest.run "obs"
     [
@@ -661,5 +725,13 @@ let () =
             test_report_bucket_rendering;
           Alcotest.test_case "JSON percentile round trip" `Quick
             test_report_json_roundtrip;
+          Alcotest.test_case "JSON bytes pinned" `Quick
+            test_report_json_pinned;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "escape then parse is identity" `Quick
+            test_json_escape_roundtrip;
+          Alcotest.test_case "malformed input raises" `Quick test_json_errors;
         ] );
     ]

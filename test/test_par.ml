@@ -1,12 +1,13 @@
 (* Multicore suite, run under the @par alias with a fixed domain count so
-   results never depend on the host's core inventory: the domain worker
-   pool's scheduling contracts, pipeline-level parallel verification
+   results never depend on the host's core inventory: the [Parallel.map]
+   fan-out contracts, pipeline-level parallel verification
    against the sequential reference, and the TCP runtime under a
    concurrent client batch. *)
 
 module F = Prio_field.F87
-module Pool = Prio_proto.Pool
+module Par = Prio_proto.Parallel
 module Pipe = Prio_proto.Pipeline.Make (F)
+module Shards = Prio_proto.Parallel.Make (F)
 module Cl = Prio_proto.Cluster.Make (F)
 module Net = Prio_proto.Net.Make (F)
 module NetT = Prio_proto.Net
@@ -22,79 +23,60 @@ let rng = Rng.of_string_seed "par-tests"
    scale with the machine. *)
 let par_domains = 4
 
-(* ------------------------------- pool -------------------------------- *)
+(* --------------------------- Parallel.map ---------------------------- *)
 
-let test_pool_map_order () =
-  let p = Pool.create ~domains:par_domains in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
-      Alcotest.(check int) "size" par_domains (Pool.size p);
-      let xs = Array.init 200 Fun.id in
-      let ys = Pool.map_array p (fun x -> x * x) xs in
-      Alcotest.(check bool) "results in index order" true
+let test_map_order () =
+  let xs = Array.init 200 Fun.id in
+  List.iter
+    (fun domains ->
+      let ys = Par.map ~domains (fun x -> x * x) xs in
+      Alcotest.(check bool)
+        (Printf.sprintf "results in index order (%d domains)" domains)
+        true
         (Array.for_all2 (fun x y -> x * x = y) xs ys))
+    [ 1; 2; par_domains; 300 ];
+  Alcotest.(check (array int)) "more domains than items" [| 0; 2; 4 |]
+    (Par.map ~domains:8 (fun x -> 2 * x) [| 0; 1; 2 |]);
+  Alcotest.(check (array int)) "empty array" [||]
+    (Par.map ~domains:par_domains (fun x -> x) [||])
 
-let test_pool_inline () =
-  (* domains:1 = pure tuning knob: no workers, tasks run on the caller *)
-  let p = Pool.create ~domains:1 in
-  Alcotest.(check int) "inline size" 1 (Pool.size p);
-  let ran = ref false in
-  let fut =
-    Pool.submit p (fun () ->
-        ran := true;
-        41 + 1)
+let test_map_one_domain () =
+  (* domains:1 spawns nothing: every call runs on the caller's domain.
+     The first call naps so that any stray domain would get to take the
+     next index in the meantime. *)
+  let caller = (Domain.self () :> int) in
+  let ran_on =
+    Par.map ~domains:1
+      (fun i ->
+        if i = 0 then Unix.sleepf 0.05;
+        (Domain.self () :> int))
+      (Array.init 8 Fun.id)
   in
-  Alcotest.(check bool) "ran eagerly on the caller" true !ran;
-  Alcotest.(check int) "value" 42 (Pool.await fut);
-  Pool.shutdown p
+  Alcotest.(check bool) "ran on the caller" true
+    (Array.for_all (Int.equal caller) ran_on)
 
-let test_pool_exceptions () =
-  let p = Pool.create ~domains:2 in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
-      let fut = Pool.submit p (fun () -> failwith "boom") in
-      Alcotest.check_raises "await re-raises" (Failure "boom") (fun () ->
-          ignore (Pool.await fut));
-      (* one failed task must not poison the pool *)
-      Alcotest.(check int) "still serving" 7
-        (Pool.await (Pool.submit p (fun () -> 7))))
+let test_map_exceptions () =
+  (* every index still runs, and the lowest failing index wins no matter
+     which domain reached its failure first *)
+  let ran = Atomic.make 0 in
+  Alcotest.check_raises "lowest-index exception" (Failure "3") (fun () ->
+      ignore
+        (Par.map ~domains:par_domains
+           (fun i ->
+             Atomic.incr ran;
+             if i = 3 || i = 17 || i = 40 then failwith (string_of_int i))
+           (Array.init 64 Fun.id)));
+  Alcotest.(check int) "every domain joined after running its share" 64
+    (Atomic.get ran)
 
-let test_pool_shutdown () =
-  let p = Pool.create ~domains:2 in
-  let fut = Pool.submit p (fun () -> 5) in
-  Pool.shutdown p;
-  Pool.shutdown p (* idempotent *);
-  Alcotest.(check int) "pre-shutdown task completed" 5 (Pool.await fut);
-  Alcotest.check_raises "submit after shutdown"
-    (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
-      ignore (Pool.submit p (fun () -> 0)));
+let test_map_zero_domains () =
   Alcotest.check_raises "zero domains"
-    (Invalid_argument "Pool.create: domains < 1") (fun () ->
-      ignore (Pool.create ~domains:0))
-
-let test_pool_helping_await () =
-  (* awaiting inside a task must not deadlock: the awaiting thread runs
-     other queued tasks while its own dependency is pending. With 2
-     capacity units and 16 tasks that each await a subtask, a
-     non-helping pool would wedge immediately. *)
-  let p = Pool.create ~domains:2 in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
-      let outer =
-        Array.init 16 (fun i ->
-            Pool.submit p (fun () ->
-                let inner = Pool.submit p (fun () -> i * 2) in
-                1 + Pool.await inner))
-      in
-      let total = Array.fold_left (fun acc f -> acc + Pool.await f) 0 outer in
-      Alcotest.(check int) "all nested tasks finished" (16 + 16 * 15) total)
+    (Invalid_argument "Parallel.map: domains < 1") (fun () ->
+      ignore (Par.map ~domains:0 Fun.id [| 1 |]))
 
 (* ----------------------- pipeline verification ----------------------- *)
 
-let test_process_parallel_matches () =
+let test_parallel_process_matches () =
   let afe = Sum.sum ~bits:4 in
   let master = Rng.bytes rng 32 in
   let make_replica () =
@@ -109,35 +91,30 @@ let test_process_parallel_matches () =
   Alcotest.(check int) "serial accepts all" 12 accepted_serial;
   let serial_links = Array.map Array.copy serial.Cl.links in
   let expected = List.fold_left ( + ) 0 (List.init 12 (fun i -> i mod 16)) in
-  let pool = Pool.create ~domains:par_domains in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      List.iter
-        (fun domains ->
-          let merged, accepted, _seconds =
-            Pipe.process_parallel ~pool ~make_replica ~domains prepared
-          in
-          Alcotest.(check int)
-            (Printf.sprintf "accepted (%d domains)" domains)
-            accepted_serial accepted;
-          Alcotest.(check int) "batches" serial.Cl.batches merged.Cl.batches;
-          Alcotest.(check int) "processed_in_batch"
-            serial.Cl.processed_in_batch merged.Cl.processed_in_batch;
-          Alcotest.(check int) "next_leader" serial.Cl.next_leader
-            merged.Cl.next_leader;
-          Array.iteri
-            (fun i row ->
-              Alcotest.(check (array int))
-                (Printf.sprintf "link bytes from server %d (%d domains)" i
-                   domains)
-                serial_links.(i) row)
-            merged.Cl.links;
-          let total = afe.A.decode ~n:accepted (Cl.publish merged) in
-          Alcotest.(check string)
-            (Printf.sprintf "aggregate (%d domains)" domains)
-            (string_of_int expected) (B.to_string total))
-        [ 1; 2; par_domains ])
+  List.iter
+    (fun domains ->
+      let merged, accepted =
+        Shards.process ~make_replica ~domains prepared.Pipe.packets
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "accepted (%d domains)" domains)
+        accepted_serial accepted;
+      Alcotest.(check int) "batches" serial.Cl.batches merged.Cl.batches;
+      Alcotest.(check int) "processed_in_batch" serial.Cl.processed_in_batch
+        merged.Cl.processed_in_batch;
+      Alcotest.(check int) "next_leader" serial.Cl.next_leader
+        merged.Cl.next_leader;
+      Array.iteri
+        (fun i row ->
+          Alcotest.(check (array int))
+            (Printf.sprintf "link bytes from server %d (%d domains)" i domains)
+            serial_links.(i) row)
+        merged.Cl.links;
+      let total = afe.A.decode ~n:accepted (Cl.publish merged) in
+      Alcotest.(check string)
+        (Printf.sprintf "aggregate (%d domains)" domains)
+        (string_of_int expected) (B.to_string total))
+    [ 1; 2; par_domains ]
 
 (* --------------------------- TCP runtime ----------------------------- *)
 
@@ -225,21 +202,19 @@ let () =
           Alcotest.test_case "concurrent batch" `Quick
             test_net_concurrent_batch;
         ] );
-      ( "pool",
+      ( "parallel map",
         [
-          Alcotest.test_case "map_array keeps index order" `Quick
-            test_pool_map_order;
-          Alcotest.test_case "inline pool runs on the caller" `Quick
-            test_pool_inline;
-          Alcotest.test_case "exceptions re-raised, pool survives" `Quick
-            test_pool_exceptions;
-          Alcotest.test_case "shutdown contract" `Quick test_pool_shutdown;
-          Alcotest.test_case "helping await never deadlocks" `Quick
-            test_pool_helping_await;
+          Alcotest.test_case "keeps index order" `Quick test_map_order;
+          Alcotest.test_case "one domain runs on the caller" `Quick
+            test_map_one_domain;
+          Alcotest.test_case "lowest-index exception after join" `Quick
+            test_map_exceptions;
+          Alcotest.test_case "zero domains rejected" `Quick
+            test_map_zero_domains;
         ] );
       ( "pipeline",
         [
-          Alcotest.test_case "process_parallel = process" `Quick
-            test_process_parallel_matches;
+          Alcotest.test_case "Parallel.process = process" `Quick
+            test_parallel_process_matches;
         ] );
     ]

@@ -700,51 +700,6 @@ let test_merge_epoch_counters () =
   Alcotest.(check string) "merged aggregate" (string_of_int expected)
     (B.to_string total)
 
-let test_epoch_age_rotation () =
-  (* with epoch_max_age_s set on an injectable clock, a slow trickle of
-     submissions cannot keep replay state resident forever: once the
-     fake clock passes the age, the next submission closes the epoch *)
-  let afe = Sum.sum ~bits:4 in
-  let master = Rng.bytes rng 32 in
-  let clock = Prio_obs.Clock.manual () in
-  let cluster =
-    Cl.create ~epoch_max_age_s:10. ~clock ~rng ~mode:Cl.Robust_snip
-      ~circuit:afe.A.circuit ~trunc_len:afe.A.trunc_len ~num_servers:3
-      ~master ()
-  in
-  let packets = epoch_packets afe master 4 in
-  let submit i =
-    let id, pk = packets.(i) in
-    Alcotest.(check bool) (Printf.sprintf "accepted %d" id) true
-      (Cl.submit cluster ~client_id:id pk)
-  in
-  submit 0;
-  Prio_obs.Clock.advance clock 5.;
-  submit 1;
-  (* age not reached: both submissions' state still resident *)
-  Alcotest.(check int) "no rotation before age" 0 cluster.Cl.epoch;
-  Alcotest.(check bool) "state resident" true
-    (Cl.resident_entries cluster > 0);
-  Prio_obs.Clock.advance clock 6.;
-  (* 11 s elapsed > 10 s: the next submission triggers rotation *)
-  submit 2;
-  Alcotest.(check int) "age rotation fired" 1 cluster.Cl.epoch;
-  (* the triggering submission is counted in the closed epoch and its
-     replay state drops with it *)
-  Alcotest.(check int) "counter reset" 0 cluster.Cl.submissions_in_epoch;
-  (* the closed epoch's 3 nonces x 3 servers linger one generation *)
-  Alcotest.(check int) "grace generation at age rotation" 9
-    (Cl.resident_entries cluster);
-  Prio_obs.Clock.advance clock 4.;
-  submit 3;
-  (* only 4 s into the new epoch: no rotation *)
-  Alcotest.(check int) "timer reset by rotation" 1 cluster.Cl.epoch;
-  Alcotest.(check int) "accepted survives age rotation" 4 cluster.Cl.accepted;
-  let total = afe.A.decode ~n:cluster.Cl.accepted (Cl.publish cluster) in
-  let expected = 0 + 1 + 2 + 3 in
-  Alcotest.(check string) "aggregate survives age rotation"
-    (string_of_int expected) (B.to_string total)
-
 (* --------------------------- NIZK pipeline --------------------------- *)
 
 let test_nizk_pipeline () =
@@ -794,8 +749,6 @@ let () =
             test_epoch_rotation_flat_memory;
           Alcotest.test_case "replay scope is the epoch" `Quick
             test_epoch_replay_scope;
-          Alcotest.test_case "age trigger rotates on a fake clock" `Quick
-            test_epoch_age_rotation;
         ] );
       ( "differential privacy",
         [
