@@ -229,12 +229,19 @@ module Make (F : Prio_field.Field_intf.S) = struct
         mul_out.(w)
     in
     (* Memoized materialization keyed by the canonical form itself: equal
-       linear combinations become the same wire. The list is scanned
-       linearly, but distinct forms are few (bounded by materialization
-       sites, not wires). *)
-    let memo : (A.affine * C.wire) list ref = ref [] in
+       linear combinations become the same wire. Forms are bucketed by a
+       hash of their atom list (field coefficients have no generic hash),
+       and [A.affine_equal] separates the forms within a bucket — so a
+       lookup costs the form's length, not the number of forms. *)
+    let memo : (int, A.affine * C.wire) Hashtbl.t = Hashtbl.create 64 in
+    let atom_code = function A.A_input k -> 2 * k | A.A_mul w -> (2 * w) + 1 in
+    let form_hash (f : A.affine) =
+      List.fold_left (fun h (a, _) -> (31 * h) + atom_code a) 0 f.A.terms
+    in
     let materialize (f : A.affine) : C.wire =
-      match List.find_opt (fun (g, _) -> A.affine_equal f g) !memo with
+      let h = form_hash f in
+      let bucket = Hashtbl.find_all memo h in
+      match List.find_opt (fun (g, _) -> A.affine_equal f g) bucket with
       | Some (_, w) -> w
       | None ->
         let w =
@@ -253,7 +260,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
             if F.is_zero f.A.const then s
             else emit rb (C.Add_const (f.A.const, s))
         in
-        memo := (f, w) :: !memo;
+        Hashtbl.add memo h (f, w);
         w
     in
     Array.iteri

@@ -716,6 +716,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
   module Server = Server.Make (F)
   module Client = Client.Make (F)
   module Ckpt = Checkpoint.Make (F)
+  module Opt = Prio_circuit.Opt.Make (F)
   module Rng = Prio_crypto.Rng
 
   type config = {
@@ -748,12 +749,23 @@ module Make (F : Prio_field.Field_intf.S) = struct
       mutable state : Snip.server_state option;
     }
 
+    (* Everything fixed for the whole deployment, built once: the
+       canonical circuit shares are parsed against, and the batch secrets
+       (r, z) with their Lagrange weights and NTT plans. *)
+    type context = { cfg : config; circuit : C.t; batch : Snip.batch_ctx }
+
+    let context (cfg : config) =
+      let circuit = Opt.optimize cfg.circuit in
+      { cfg; circuit;
+        batch =
+          Snip.make_batch_ctx_raw ~rng:(Rng.of_seed cfg.batch_seed) ~circuit
+            ~num_servers:cfg.num_servers }
+
     type t = {
-      cfg : config;
+      cx : context;
       tuning : tuning;
       fx : effects;
       server : Server.t;
-      ctx : Snip.batch_ctx;
       pending : (int, pending) Hashtbl.t;
       (* Leader bookkeeping for the two-phase commit: client ids whose
          verdict is journaled here but not yet acknowledged by every
@@ -763,16 +775,14 @@ module Make (F : Prio_field.Field_intf.S) = struct
       mutable since_ckpt : int;  (** decisions since the last snapshot *)
     }
 
-    let create ~tuning cfg ~id fx =
-      { cfg; tuning; fx;
+    let create ~tuning cx ~id fx =
+      let cfg = cx.cfg in
+      { cx; tuning; fx;
         server =
           Server.create ~id ~num_servers:cfg.num_servers ~master:cfg.master
             ~trunc_len:cfg.trunc_len
             ~payload_elements:
-              (C.num_inputs cfg.circuit + Snip.proof_num_elements cfg.circuit);
-        ctx =
-          Snip.make_batch_ctx ~rng:(Rng.of_seed cfg.batch_seed)
-            ~circuit:cfg.circuit ~num_servers:cfg.num_servers;
+              (C.num_inputs cx.circuit + Snip.raw_proof_num_elements cx.circuit);
         pending = Hashtbl.create 64; uncommitted = Hashtbl.create 16;
         since_ckpt = 0 }
 
@@ -830,7 +840,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
             j_epoch = t.server.Server.epoch;
             (* replay only accumulates the truncated prefix *)
             j_share =
-              (if accepted then Array.sub share 0 t.cfg.trunc_len else [||]) }
+              (if accepted then Array.sub share 0 t.cx.cfg.trunc_len else [||]) }
 
     (* The one decision path, run once [journal_decision] has written the
        verdict ahead: [apply] folds an accepted share into the
@@ -873,8 +883,8 @@ module Make (F : Prio_field.Field_intf.S) = struct
       end
 
     let prepare t (p : pending) =
-      Snip.server_prepare t.ctx
-        (Snip.submission_of_vector t.cfg.circuit p.share)
+      Snip.server_prepare t.cx.batch
+        (Snip.raw_submission_of_vector t.cx.circuit p.share)
 
     (* One leader round: post [payload] to every follower but [skip], run
        the leader's own step [local] while they work, then gather every
@@ -988,7 +998,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
         let my_verdict, replies =
           broadcast t
             (tagged 'd' (Bytes.cat id_ctx (pair_bytes d e)))
-            (fun () -> Snip.server_decide_share t.ctx my_state ~d ~e)
+            (fun () -> Snip.server_decide_share t.cx.batch my_state ~d ~e)
         in
         let sigma, zero =
           sum_pairs 'S' (my_verdict.Snip.sigma, my_verdict.Snip.zero) replies
@@ -1129,7 +1139,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
                 @@ fun () ->
                 let v =
                   Metrics.time h_stage_verify (fun () ->
-                      Snip.server_decide_share t.ctx st ~d ~e)
+                      Snip.server_decide_share t.cx.batch st ~d ~e)
                 in
                 tagged 'S' (pair_bytes v.Snip.sigma v.Snip.zero)))
       | ('a' | 'r') as tag ->
@@ -1178,7 +1188,9 @@ module Make (F : Prio_field.Field_intf.S) = struct
       listening (so the caller knows the port). The leader (id 0)
       additionally dials the followers — lazily redialing ones that died
       and came back. [faults], if given, sits on this server's
-      frame-receive path (and may [Crash] the process).
+      frame-receive path (and may [Crash] the process). [cx] is the
+      deployment's one {!Node.context}, built by the caller before the
+      fork, so nothing is optimized or derived here.
 
       With [tuning.checkpoint_dir] set, the server resumes from its
       latest valid snapshot at startup (rejecting anything corrupted,
@@ -1186,10 +1198,11 @@ module Make (F : Prio_field.Field_intf.S) = struct
       master — those fall back to a clean epoch restart), replays the
       decision-journal suffix, and persists a new snapshot every
       [checkpoint_every] decisions. *)
-  let serve ?(tuning = default_tuning) ?faults ?(restore_min_epoch = 0) cfg
-      ~id ~(listen_fd : Unix.file_descr)
+  let serve ?(tuning = default_tuning) ?faults ?(restore_min_epoch = 0)
+      (cx : Node.context) ~id ~(listen_fd : Unix.file_descr)
       ~(follower_addrs : Unix.sockaddr array) =
     ignore_sigpipe ();
+    let cfg = cx.Node.cfg in
     (* this process's registry answers the live scrape: zero whatever the
        forking parent had accumulated, and time stages on the system
        clock even if the parent had installed a manual one *)
@@ -1300,7 +1313,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
       fun () -> Array.map (Option.map (fun gather -> gather ())) legs
     in
     let node =
-      Node.create ~tuning cfg ~id
+      Node.create ~tuning cx ~id
         { scatter;
           drop = Links.drop followers;
           journal = append;
@@ -1456,6 +1469,8 @@ module Make (F : Prio_field.Field_intf.S) = struct
 
   type deployment = {
     cfg : config;
+    context : Node.context;
+        (** built once by [launch]; every fork and restart reuses it *)
     tuning : tuning;
     addrs : Unix.sockaddr array;  (** server 0 is the leader *)
     pids : int array;  (** current pid per server (restarts update it) *)
@@ -1478,7 +1493,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
      alongside it: a copy held open would keep a dead sibling's port
      accepting connections nobody serves, and block its restart. *)
   let fork_server ?(restore_min_epoch = 0) ?(siblings = []) ~tuning
-      ~faults_for cfg ~id ~listen_fd ~follower_addrs =
+      ~faults_for cx ~id ~listen_fd ~follower_addrs =
     (* don't let the child inherit (and later re-flush) buffered output *)
     flush stdout;
     flush stderr;
@@ -1486,7 +1501,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
     | 0 ->
       List.iter Unix.close siblings;
       (try
-         serve ~tuning ?faults:(faults_for id) ~restore_min_epoch cfg ~id
+         serve ~tuning ?faults:(faults_for id) ~restore_min_epoch cx ~id
            ~listen_fd ~follower_addrs
          (* dying forked child: stderr is the only remaining channel *)
          (* prio-lint: allow no-debug-io *)
@@ -1496,10 +1511,12 @@ module Make (F : Prio_field.Field_intf.S) = struct
 
   (** Fork one OS process per server on loopback sockets. [faults_for]
       installs a (seeded, deterministic) fault injector on chosen
-      servers' receive paths — the chaos-testing hook. *)
+      servers' receive paths — the chaos-testing hook. The
+      {!Node.context} is built here, once, before the first fork. *)
   let launch ?(tuning = default_tuning) ?(faults_for = fun _ -> None) cfg :
       deployment =
     ignore_sigpipe ();
+    let context = Node.context cfg in
     let listeners =
       Array.init cfg.num_servers (fun _ -> bind_listener (localhost 0))
     in
@@ -1518,13 +1535,14 @@ module Make (F : Prio_field.Field_intf.S) = struct
           let siblings =
             List.filter (fun fd -> fd <> listen_fd) (Array.to_list listeners)
           in
-          fork_server ~siblings ~tuning ~faults_for cfg ~id ~listen_fd
+          fork_server ~siblings ~tuning ~faults_for context ~id ~listen_fd
             ~follower_addrs)
         listeners
     in
     Array.iter Unix.close listeners;
     {
       cfg;
+      context;
       tuning;
       addrs;
       pids;
@@ -1565,7 +1583,9 @@ module Make (F : Prio_field.Field_intf.S) = struct
       checkpoint dir (or when the snapshot is rejected) it starts with
       fresh per-batch state: shares that lived only in the dead process
       are lost, but new traffic flows again. [min_epoch] (default 0)
-      refuses authentic-but-stale snapshots from already-closed epochs. *)
+      refuses authentic-but-stale snapshots from already-closed epochs.
+      The new process forks with the deployment's {!Node.context}, the
+      one [launch] built, so it serves without re-deriving it. *)
   let restart_server ?(min_epoch = 0) d i =
     (match (poll_servers d).(i) with
     | Running -> invalid_arg "Net.restart_server: server still running"
@@ -1574,7 +1594,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
     let follower_addrs = Array.sub d.addrs 1 (d.cfg.num_servers - 1) in
     let pid =
       fork_server ~restore_min_epoch:min_epoch ~tuning:d.tuning
-        ~faults_for:d.faults_for d.cfg ~id:i ~listen_fd ~follower_addrs
+        ~faults_for:d.faults_for d.context ~id:i ~listen_fd ~follower_addrs
     in
     Unix.close listen_fd;
     d.pids.(i) <- pid;

@@ -219,11 +219,25 @@ module Make (F : Prio_field.Field_intf.S) : sig
           (** persist this state and truncate the journal it absorbed *)
     }
 
+    type context
+    (** What every server of a deployment verifies against, fixed for the
+        whole deployment: the canonical (optimized) circuit that shares
+        are parsed against, and the batch secrets r and z derived from
+        [batch_seed] with their fixed-r Lagrange weights. *)
+
+    val context : config -> context
+    (** Build the context: optimize [config.circuit] once and derive the
+        batch secrets from [batch_seed]. The secrets are the same for any
+        caller given the same config, so one context serves every node;
+        {!launch} builds it once, before forking. *)
+
     type t
 
-    val create : tuning:tuning -> config -> id:int -> effects -> t
-    (** A fresh server [id]. Reads [tuning]'s [max_pending], [epoch_size]
-        and [checkpoint_every]. *)
+    val create : tuning:tuning -> context -> id:int -> effects -> t
+    (** A fresh server [id] over a context built by {!context}; nothing
+        is optimized or derived here, so a restart starts serving at
+        once. Reads [tuning]'s [max_pending], [epoch_size] and
+        [checkpoint_every]. *)
 
     val server : t -> Server.Make(F).t
     (** The accumulator and replay state, for restoring a snapshot into
@@ -245,10 +259,13 @@ module Make (F : Prio_field.Field_intf.S) : sig
 
   val serve :
     ?tuning:tuning -> ?faults:Faults.t -> ?restore_min_epoch:int ->
-    config -> id:int -> listen_fd:Unix.file_descr ->
+    Node.context -> id:int -> listen_fd:Unix.file_descr ->
     follower_addrs:Unix.sockaddr array -> unit
   (** Run one server until an [X] frame arrives: a {!Node} behind a
-      select loop that blocks until a connection is readable. The leader
+      select loop that blocks until a connection is readable. The
+      context comes from the caller ({!launch} and {!restart_server}
+      pass the deployment's one {!Node.context}), so the server derives
+      nothing before it serves. The leader
       (id 0) dials the followers, lazily redialing dead ones. The
       listener must already be bound. [faults] sits on this server's
       frame-receive path and may [Crash] the process. With
@@ -261,6 +278,9 @@ module Make (F : Prio_field.Field_intf.S) : sig
 
   type deployment = {
     cfg : config;
+    context : Node.context;
+        (** built once by {!launch}; every server process, restarts
+            included, verifies against it *)
     tuning : tuning;
     addrs : Unix.sockaddr array;  (** server 0 is the leader *)
     pids : int array;  (** current pid per server (restarts update it) *)
@@ -273,7 +293,9 @@ module Make (F : Prio_field.Field_intf.S) : sig
     ?tuning:tuning -> ?faults_for:(int -> Faults.t option) -> config ->
     deployment
   (** Fork one process per server on loopback sockets (ephemeral ports);
-      [faults_for] installs chaos injectors on chosen servers. *)
+      [faults_for] installs chaos injectors on chosen servers. The
+      {!Node.context} is built here, in the calling process, before the
+      first fork, and every child inherits it. *)
 
   (** {2 Supervision} *)
 
@@ -288,7 +310,9 @@ module Make (F : Prio_field.Field_intf.S) : sig
       [tuning.checkpoint_dir] set it resumes from the latest valid
       snapshot (accepted submissions up to the last checkpoint survive);
       otherwise it restarts with fresh per-batch state. [min_epoch]
-      refuses authentic-but-stale snapshots.
+      refuses authentic-but-stale snapshots. The new process reuses the
+      deployment's {!Node.context}, so it re-optimizes and re-derives
+      nothing before it serves.
       @raise Invalid_argument if it is still running. *)
 
   (** What a health sweep concluded about one server — strictly more

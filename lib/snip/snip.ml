@@ -54,11 +54,11 @@ module Make (F : Prio_field.Field_intf.S) = struct
      {!Prio_circuit.Opt.canonicalize}, so proof sizes, grids and circuit
      walks always refer to the optimized form — even for circuits built by
      hand rather than through the AFE constructors (which optimize at
-     construction time; canonicalizing an already-optimized circuit is a
-     cached no-op). The [raw_*] variants below operate on exactly the
-     circuit given; [prove ~optimize:false] and
-     [make_batch_ctx ~optimize:false] reach them for ablation
-     measurements. *)
+     construction time; canonicalizing the same circuit value again is a
+     cached no-op within one functor instance). The [raw_*] variants below
+     operate on exactly the circuit given: a server parses against the
+     circuit it canonicalized once per deployment, and [prove_raw] and
+     [make_batch_ctx_raw] reach them for ablation measurements. *)
 
   (** Grid size N for a circuit: the covering power of two of M+1 slots
       (slot 0 is the random mask). *)

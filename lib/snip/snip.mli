@@ -25,11 +25,11 @@ module Make (F : Prio_field.Field_intf.S) : sig
   (** Every entry point taking a circuit first runs it through
       {!Prio_circuit.Opt.canonicalize}: proof sizes, grids and circuit
       walks refer to the optimized circuit even when callers hand in a
-      raw builder output (AFE circuits arrive pre-optimized, for which
-      canonicalization is a cached no-op). [prove_raw] and
-      [make_batch_ctx_raw] skip the canonicalization to measure the
-      unoptimized form — all parties must then agree on that choice for
-      shares to parse. *)
+      raw builder output. The cache behind it is per instance, so the
+      first call for a given circuit value runs the optimizer. The [raw]
+      variants skip the canonicalization, for a circuit that is already
+      canonical or to measure the unoptimized form — all parties must
+      then agree on that choice for shares to parse. *)
 
   type proof_share = {
     f0 : F.t;  (** share of the random mask f(0) *)
@@ -49,6 +49,10 @@ module Make (F : Prio_field.Field_intf.S) : sig
   val proof_num_elements : C.t -> int
   (** Field elements in one proof share: 2 + 2N + 3 (0 when M = 0). *)
 
+  val raw_proof_num_elements : C.t -> int
+  (** [proof_num_elements] minus the canonicalization: for a circuit that
+      is already canonical. *)
+
   (** {1 Flat-vector form}
 
       A submission share is also a flat vector x ‖ f0 ‖ g0 ‖ h ‖ (a,b,c);
@@ -57,6 +61,11 @@ module Make (F : Prio_field.Field_intf.S) : sig
       PRG-compressed upload path. *)
 
   val submission_of_vector : C.t -> F.t array -> submission_share
+
+  val raw_submission_of_vector : C.t -> F.t array -> submission_share
+  (** [submission_of_vector] minus the canonicalization: for a circuit
+      that is already canonical, such as a server's deployment-wide one. *)
+
   val vector_of_submission : submission_share -> F.t array
 
   (** {1 Client (prover)} *)
@@ -87,8 +96,9 @@ module Make (F : Prio_field.Field_intf.S) : sig
 
   val make_batch_ctx_raw :
     rng:Prio_crypto.Rng.t -> circuit:C.t -> num_servers:int -> batch_ctx
-  (** [make_batch_ctx] minus the canonicalization — must be paired with
-      [prove_raw] on the client side. *)
+  (** [make_batch_ctx] minus the canonicalization: for a circuit that is
+      already canonical (a server canonicalizes once per deployment), or
+      paired with [prove_raw] on the client side for ablations. *)
 
   type server_state = {
     fr : F.t;  (** share of f(r) *)

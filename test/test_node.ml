@@ -13,6 +13,7 @@ module Sum = Prio_afe.Sum.Make (F)
 module A = Prio_afe.Afe.Make (F)
 module Rng = Prio_crypto.Rng
 module Sv = Prio_proto.Server.Make (F)
+module C = Prio_circuit.Circuit.Make (F)
 
 let num_servers = 3
 let rng = Rng.of_string_seed "node-tests"
@@ -28,6 +29,11 @@ let cfg =
       batch_seed = Rng.bytes rng 32;
     }
 
+(* One verification context, built before any node exists, as
+   [Net.launch] builds it before forking: all three nodes and every
+   restore after a crash run on it. *)
+let context = Net.Node.context cfg
+
 (* a snapshot every other decision, so restores mix snapshot and journal
    replay *)
 let tuning = { NetT.default_tuning with checkpoint_every = 2 }
@@ -39,6 +45,7 @@ type fault = { node : int; append : int; after : bool }
 exception Crash
 
 type cluster = {
+  cx : Net.Node.context;
   mutable nodes : Net.Node.t array;
   snaps : Ck.snapshot option array;  (** last snapshot per node *)
   journals : Ck.journal_entry list array;  (** newest first *)
@@ -84,7 +91,7 @@ let rec make_node c i =
     c.snaps.(i) <- Some (Ck.of_server state);
     c.journals.(i) <- []
   in
-  Net.Node.create ~tuning cfg ~id:i
+  Net.Node.create ~tuning c.cx ~id:i
     { scatter; drop = ignore; journal; snapshot }
 
 and restore c i =
@@ -93,9 +100,10 @@ and restore c i =
   Net.Node.replay n (List.rev c.journals.(i));
   n
 
-let cluster ?fault () =
+let cluster ?fault ?(cx = context) () =
   let c =
     {
+      cx;
       nodes = [||];
       snaps = Array.make num_servers None;
       journals = Array.make num_servers [];
@@ -158,19 +166,20 @@ let collect c =
   (acc, Array.to_list accepted)
 
 (* Sealed once, so every run of a test submits byte-identical packets.
-   [cheat] corrupts one client's encoding, which the SNIP rejects. *)
-let packets ?cheat values =
+   [cheat] corrupts one client's encoding, which the SNIP rejects. The
+   client proves over [circuit], canonicalizing it on its side. *)
+let packets ?cheat ?(circuit = cfg.Net.circuit) values =
   List.mapi
     (fun i x ->
       let enc = afe.A.encode ~rng x in
       if Some i = cheat then enc.(0) <- F.of_int 999;
       ( i,
-        Net.Client.submit ~rng ~mode:(Net.Client.Robust_snip cfg.Net.circuit)
+        Net.Client.submit ~rng ~mode:(Net.Client.Robust_snip circuit)
           ~num_servers ~client_id:i ~master:cfg.Net.master enc ))
     values
 
-let run ?fault packets =
-  let c = cluster ?fault () in
+let run ?fault ?cx packets =
+  let c = cluster ?fault ?cx () in
   let outcomes =
     List.map (fun (client_id, pk) -> submit c ~client_id pk) packets
   in
@@ -221,6 +230,28 @@ let test_crash_points () =
       done)
     clean.appends
 
+(* A config holding a raw, unoptimized circuit: the builder's output
+   asserted twice, so it has twice the mul gates and a longer proof until
+   the optimizer folds the copies. The context optimizes it once, and a
+   client proving over the same raw circuit gets the verdicts and
+   aggregate of the deployed, optimized one. *)
+let test_raw_circuit_config () =
+  let raw = C.union afe.A.raw_circuit afe.A.raw_circuit in
+  Alcotest.(check bool) "raw circuit has more mul gates" true
+    (C.num_mul_gates raw > C.num_mul_gates afe.A.circuit);
+  let values = [ 3; 7; 15; 0; 9; 12 ] in
+  let _, want_outcomes, want_total, want_accepted =
+    run (packets ~cheat:4 values)
+  in
+  let _, outcomes, total, accepted =
+    run
+      ~cx:(Net.Node.context { cfg with Net.circuit = raw })
+      (packets ~cheat:4 ~circuit:raw values)
+  in
+  Alcotest.(check (list bool)) "verdicts" want_outcomes outcomes;
+  Alcotest.(check string) "aggregate" want_total total;
+  Alcotest.(check (list int)) "accepted per server" want_accepted accepted
+
 let () =
   Alcotest.run "node"
     [
@@ -229,5 +260,7 @@ let () =
           Alcotest.test_case "sum end-to-end" `Quick test_sum_end_to_end;
           Alcotest.test_case "crash at every journal append" `Quick
             test_crash_points;
+          Alcotest.test_case "raw circuit in the config" `Quick
+            test_raw_circuit_config;
         ] );
     ]

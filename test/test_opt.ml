@@ -123,6 +123,105 @@ let test_canonicalize_cached () =
   Alcotest.(check bool) "optimized canonicalizes to itself" true
     (O.canonicalize o == o)
 
+(* L one-bit coordinates, one assert_bit each: the wide-bits circuit. *)
+let bits_circuit l =
+  let b = C.Builder.create ~num_inputs:l in
+  for i = 0 to l - 1 do
+    C.Builder.assert_bit b (C.Builder.input b i)
+  done;
+  C.Builder.build b
+
+(* A digest of a circuit's exact structure — gate order, operands,
+   constants and assert-zero roots — independent of physical sharing. *)
+let digest (c : C.t) =
+  let b = Buffer.create 4096 in
+  let int i =
+    Buffer.add_string b (string_of_int i);
+    Buffer.add_char b ','
+  in
+  let fe v = Buffer.add_bytes b (F.to_bytes v) in
+  let op tag x y =
+    Buffer.add_char b tag;
+    int x;
+    int y
+  in
+  int c.C.num_inputs;
+  Array.iter
+    (function
+      | C.Input k ->
+        Buffer.add_char b 'i';
+        int k
+      | C.Const v ->
+        Buffer.add_char b 'k';
+        fe v
+      | C.Add (x, y) -> op '+' x y
+      | C.Sub (x, y) -> op '-' x y
+      | C.Mul (x, y) -> op '*' x y
+      | C.Scale (v, x) ->
+        Buffer.add_char b 's';
+        fe v;
+        int x
+      | C.Add_const (v, x) ->
+        Buffer.add_char b 'c';
+        fe v;
+        int x)
+    c.C.gates;
+  Buffer.add_char b '|';
+  Array.iter int c.C.assert_zero;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Known answers: the digest of [optimize raw] per specimen, and of the
+   256-input wide-bits circuit, taken from the optimizer before its affine
+   memo was hashed. A change to emission order fails here. *)
+let expected_digests =
+  [
+    ("or", "94254c511713554eb3cbc81e93a885a1");
+    ("sum8", "18616edbfbad5a04ef48e5c0a5b89407");
+    ("histogram12", "e41ae9f23c840a33b4bd20a50afc5b48");
+    ("max16", "e271af8d4d9d2b0614307361b44e4c16");
+    ("product-b10-f4", "d644a1a9827bf63b0cc4d32ea3e004a6");
+    ("fxsum-6.4", "d644a1a9827bf63b0cc4d32ea3e004a6");
+    ("linreg-d2-b6", "7df1c54001682f979c718a162c64dfc7");
+    ("r2-d2-b6", "227de2b41eae6a79f6d29808d55b4d44");
+    ("variance8", "4f1c98074e244fc98785e26f4ff2c54b");
+    ("most-popular8", "64b0d8cd8fa2b5c8e1bbb51e057fe767");
+    ("popular-8b-6buckets", "343c1fc17f3ccaf00ca86ed270f8c53a");
+    ("count-min3x10", "ec67b9ab916c19cffd586aed3b9db17a");
+    ("bits256", "3fe0fdd5442513d841c27808397b72d0");
+  ]
+
+let test_output_pinned () =
+  let specimens =
+    List.map (fun e -> (e.Zoo.name, e.Zoo.raw)) (Zoo.all ())
+    @ [ ("bits256", bits_circuit 256) ]
+  in
+  Alcotest.(check int) "specimen count" (List.length expected_digests)
+    (List.length specimens);
+  List.iter
+    (fun (name, raw) ->
+      let o = O.optimize raw in
+      (match List.assoc_opt name expected_digests with
+      | None -> Alcotest.failf "no pinned digest for %s" name
+      | Some want -> Alcotest.(check string) (name ^ " digest") want (digest o));
+      if not (O.equal_structure (O.optimize o) o) then
+        Alcotest.failf "%s: optimize is not a fixpoint" name)
+    specimens
+
+(* The affine memo must stay linear. Re-optimizing the already-optimized
+   circuit took 152 ms at 1024 inputs and 3.4 s at 4096 with a quadratic
+   memo scan, and takes 13 ms and 61 ms with the hashed memo (2 vCPU).
+   The raw 4096-input pipeline below takes about 40 ms against 2.7 s
+   for the quadratic memo, so the 1 s budget leaves 25× headroom for a
+   loaded machine and still fails a quadratic memo by 2.7×. *)
+let test_linear_time () =
+  let raw = bits_circuit 4096 in
+  let t0 = Unix.gettimeofday () in
+  let o = O.optimize raw in
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "one mul per bit" 4096 (muls o);
+  if dt > 1.0 then
+    Alcotest.failf "optimize of 4096 bits took %.2f s (budget 1 s)" dt
+
 let test_num_inputs_preserved () =
   List.iter
     (fun e ->
@@ -271,6 +370,8 @@ let () =
           Alcotest.test_case "idempotent" `Quick test_idempotent;
           Alcotest.test_case "canonicalize cache" `Quick test_canonicalize_cached;
           Alcotest.test_case "arity preserved" `Quick test_num_inputs_preserved;
+          Alcotest.test_case "output pinned" `Quick test_output_pinned;
+          Alcotest.test_case "linear time" `Quick test_linear_time;
         ] );
       ( "equivalence",
         List.map
