@@ -269,13 +269,18 @@ module Work (F : Prio.Field_intf.S) = struct
   let rng = Rng.of_string_seed ("bench-" ^ F.name)
   let master = Rng.bytes rng 32
 
+  (* The hand-built circuits below are optimized once, here where they
+     are built, as an AFE's are by [Afe.compile]: every layer after this
+     proves and verifies them as given. *)
+  let build b = P.Circuit_opt.optimize (C.Builder.build b)
+
   (* Valid: every coordinate is a bit (the Figure 4/5 workload). *)
   let bits_circuit l =
     let b = C.Builder.create ~num_inputs:l in
     for i = 0 to l - 1 do
       C.Builder.assert_bit b (C.Builder.input b i)
     done;
-    C.Builder.build b
+    build b
 
   let bits_encoding l = Array.init l (fun _ -> F.of_int (Rng.int_below rng 2))
 
@@ -290,7 +295,7 @@ module Work (F : Prio.Field_intf.S) = struct
       List.iter (C.Builder.assert_bit b) bit_wires;
       C.Builder.assert_binary_decomposition b ~value ~bits:bit_wires
     done;
-    C.Builder.build b
+    build b
 
   let multi_sum_encoding ~count ~bits =
     Array.concat
@@ -306,7 +311,7 @@ module Work (F : Prio.Field_intf.S) = struct
       C.Builder.assert_one_hot b
         (List.init scale (fun a -> C.Builder.input b ((q * scale) + a)))
     done;
-    C.Builder.build b
+    build b
 
   let survey_encoding ~questions ~scale =
     Array.concat
@@ -521,7 +526,7 @@ let fig7_workloads () =
     let circuit =
       let b = W.C.Builder.create ~num_inputs:buckets in
       W.C.Builder.assert_one_hot b (List.init buckets (fun i -> W.C.Builder.input b i));
-      W.C.Builder.build b
+      W.build b
     in
     let enc = Array.make buckets Prio.F87.zero in
     enc.(Rng.int_below W.rng buckets) <- Prio.F87.one;
@@ -782,21 +787,20 @@ let circuit_opt () =
       let enc = e.Z.sample W.rng in
       let p_raw =
         measure_stats (fun () ->
-            W.P.Snip.prove_raw ~rng:W.rng ~circuit:raw ~num_servers:5
-              ~inputs:enc)
+            W.P.Snip.prove ~rng:W.rng ~circuit:raw ~num_servers:5 ~inputs:enc)
       in
       let p_opt =
         measure_stats (fun () ->
             W.P.Snip.prove ~rng:W.rng ~circuit:opt ~num_servers:5 ~inputs:enc)
       in
       let ctx_raw =
-        W.P.Snip.make_batch_ctx_raw ~rng:W.rng ~circuit:raw ~num_servers:5
+        W.P.Snip.make_batch_ctx ~rng:W.rng ~circuit:raw ~num_servers:5
       in
       let ctx_opt =
         W.P.Snip.make_batch_ctx ~rng:W.rng ~circuit:opt ~num_servers:5
       in
       let subs_raw =
-        W.P.Snip.prove_raw ~rng:W.rng ~circuit:raw ~num_servers:5 ~inputs:enc
+        W.P.Snip.prove ~rng:W.rng ~circuit:raw ~num_servers:5 ~inputs:enc
       in
       let subs_opt =
         W.P.Snip.prove ~rng:W.rng ~circuit:opt ~num_servers:5 ~inputs:enc

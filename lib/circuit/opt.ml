@@ -344,46 +344,4 @@ module Make (F : Prio_field.Field_intf.S) = struct
         if equal_structure c c' then c else go c' (n + 1)
     in
     go c 0
-
-  (* ------------------------------------------------------------------ *)
-  (* Canonicalization cache                                              *)
-  (* ------------------------------------------------------------------ *)
-
-  (* Physical-identity memo so hot paths (the SNIP proving/verifying the
-     same deployed circuit object per submission) canonicalize in O(1).
-     Optimized outputs are entered as their own key, making
-     [canonicalize] O(1)-idempotent. Mutex-guarded: SNIP verification
-     runs inside worker domains. *)
-  let cache : (C.t * C.t) list ref = ref []
-  let cache_mutex = Mutex.create ()
-  let cache_cap = 64
-
-  let with_cache f =
-    Mutex.lock cache_mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock cache_mutex) f
-
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
-
-  (** [optimize], memoized on the physical identity of [c]; safe to call
-      from any domain. *)
-  let canonicalize (c : C.t) : C.t =
-    let hit =
-      with_cache (fun () ->
-          (* prio-lint: allow ct-compare *)
-          List.find_opt (fun (k, _) -> k == c) !cache)
-    in
-    match hit with
-    | Some (_, o) -> o
-    | None ->
-      let o = optimize c in
-      with_cache (fun () ->
-          let keep =
-            (* prio-lint: allow ct-compare *)
-            List.filter (fun (k, _) -> k != c && k != o) !cache
-          in
-          cache := take cache_cap ((c, o) :: (o, o) :: keep));
-      o
 end

@@ -47,9 +47,4 @@ module Make (F : Prio_field.Field_intf.S) : sig
   (** All passes, iterated to a structural fixpoint (bounded rounds).
       @raise Invalid_argument if the input — or any pass's output — fails
       {!Circuit.validate}. *)
-
-  val canonicalize : C.t -> C.t
-  (** {!optimize}, memoized on the physical identity of the argument;
-      optimized results canonicalize to themselves in O(1). Safe to call
-      concurrently from worker domains. *)
 end

@@ -54,6 +54,9 @@ module Make (F : Prio_field.Field_intf.S) = struct
     master : Bytes.t;
     servers : Server.t array;
     mutable snip_ctx : Snip.batch_ctx option;  (** for Robust_snip *)
+    triple_circuit : C.t option;
+        (** for Robust_mpc: the circuit the clients' triple SNIPs prove,
+            built once per deployment *)
     mutable triple_ctx : Snip.batch_ctx option;  (** for Robust_mpc's triple SNIP *)
     batch_size : int;
         (** submissions per batch secret r (Appendix I): the verifiers'
@@ -88,30 +91,22 @@ module Make (F : Prio_field.Field_intf.S) = struct
     let encoding_len = C.num_inputs circuit in
     if trunc_len > encoding_len then invalid_arg "Cluster.create: trunc too wide";
     let m = C.num_mul_gates circuit in
+    let triple_circuit =
+      if mode = Robust_mpc then Some (Mpc.triple_circuit ~m) else None
+    in
     let payload_elements =
-      match mode with
-      | Robust_snip -> encoding_len + Snip.proof_num_elements circuit
-      | Robust_mpc ->
-        let tc = Mpc.triple_circuit ~m in
-        encoding_len + (3 * m) + Snip.proof_num_elements tc
-      | No_robustness -> encoding_len
+      match (mode, triple_circuit) with
+      | Robust_snip, _ -> encoding_len + Snip.proof_num_elements circuit
+      | _, Some tc -> encoding_len + (3 * m) + Snip.proof_num_elements tc
+      | _, None -> encoding_len
     in
     let servers =
       Array.init num_servers (fun id ->
           Server.create ~id ~num_servers ~master ~trunc_len ~payload_elements)
     in
-    let snip_ctx =
-      match mode with
-      | Robust_snip -> Some (Snip.make_batch_ctx ~rng ~circuit ~num_servers)
-      | _ -> None
-    in
-    let triple_ctx =
-      match mode with
-      | Robust_mpc ->
-        Some
-          (Snip.make_batch_ctx ~rng ~circuit:(Mpc.triple_circuit ~m) ~num_servers)
-      | _ -> None
-    in
+    let batch_ctx circuit = Snip.make_batch_ctx ~rng ~circuit ~num_servers in
+    let snip_ctx = if mode = Robust_snip then Some (batch_ctx circuit) else None in
+    let triple_ctx = Option.map batch_ctx triple_circuit in
     if batch_size < 1 then invalid_arg "Cluster.create: batch_size < 1";
     if epoch_size < 0 then invalid_arg "Cluster.create: epoch_size < 0";
     {
@@ -123,6 +118,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
       master;
       servers;
       snip_ctx;
+      triple_circuit;
       triple_ctx;
       batch_size;
       processed_in_batch = 0;
@@ -143,11 +139,10 @@ module Make (F : Prio_field.Field_intf.S) = struct
       t.snip_ctx <-
         Some (Snip.make_batch_ctx ~rng:t.rng ~circuit:t.circuit ~num_servers:t.s)
     | Robust_mpc ->
-      let m = C.num_mul_gates t.circuit in
       t.triple_ctx <-
-        Some
-          (Snip.make_batch_ctx ~rng:t.rng ~circuit:(Mpc.triple_circuit ~m)
-             ~num_servers:t.s)
+        Option.map
+          (fun circuit -> Snip.make_batch_ctx ~rng:t.rng ~circuit ~num_servers:t.s)
+          t.triple_circuit
     | No_robustness -> ()
 
   (* Resample the batch secrets after every [batch_size] submissions
@@ -233,20 +228,17 @@ module Make (F : Prio_field.Field_intf.S) = struct
     Metrics.time h_mpc_eval @@ fun () ->
     let m = C.num_mul_gates t.circuit in
     let l = t.encoding_len in
+    let tc, ctx =
+      match (t.triple_circuit, t.triple_ctx) with
+      | Some tc, Some ctx -> (tc, ctx)
+      | _ -> assert false (* both built for every Robust_mpc deployment *)
+    in
     let triple_subs =
       Array.map
-        (fun v ->
-          Snip.submission_of_vector
-            (Mpc.triple_circuit ~m)
-            (Array.sub v l (Array.length v - l)))
+        (fun v -> Snip.submission_of_vector tc (Array.sub v l (Array.length v - l)))
         vectors
     in
-    let triple_ok =
-      match t.triple_ctx with
-      | Some ctx -> run_snip_check t ctx ~leader triple_subs
-      | None -> assert false (* built for every Robust_mpc deployment *)
-    in
-    if not triple_ok then false
+    if not (run_snip_check t ctx ~leader triple_subs) then false
     else begin
       let x_shares = Array.map (fun v -> Array.sub v 0 l) vectors in
       let triples =

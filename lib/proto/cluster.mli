@@ -33,6 +33,8 @@ module Make (F : Prio_field.Field_intf.S) : sig
     master : Bytes.t;
     servers : Server.t array;
     mutable snip_ctx : Snip.batch_ctx option;
+    triple_circuit : C.t option;
+        (** Prio-MPC's triple circuit, built once by {!create} *)
     mutable triple_ctx : Snip.batch_ctx option;
     batch_size : int;
     mutable processed_in_batch : int;

@@ -716,7 +716,6 @@ module Make (F : Prio_field.Field_intf.S) = struct
   module Server = Server.Make (F)
   module Client = Client.Make (F)
   module Ckpt = Checkpoint.Make (F)
-  module Opt = Prio_circuit.Opt.Make (F)
   module Rng = Prio_crypto.Rng
 
   type config = {
@@ -749,17 +748,16 @@ module Make (F : Prio_field.Field_intf.S) = struct
       mutable state : Snip.server_state option;
     }
 
-    (* Everything fixed for the whole deployment, built once: the
-       canonical circuit shares are parsed against, and the batch secrets
-       (r, z) with their Lagrange weights and NTT plans. *)
-    type context = { cfg : config; circuit : C.t; batch : Snip.batch_ctx }
+    (* Everything fixed for the whole deployment, built once: the batch
+       secrets (r, z) with their Lagrange weights and NTT plans, over the
+       config's circuit as deployed. *)
+    type context = { cfg : config; batch : Snip.batch_ctx }
 
     let context (cfg : config) =
-      let circuit = Opt.optimize cfg.circuit in
-      { cfg; circuit;
+      { cfg;
         batch =
-          Snip.make_batch_ctx_raw ~rng:(Rng.of_seed cfg.batch_seed) ~circuit
-            ~num_servers:cfg.num_servers }
+          Snip.make_batch_ctx ~rng:(Rng.of_seed cfg.batch_seed)
+            ~circuit:cfg.circuit ~num_servers:cfg.num_servers }
 
     type t = {
       cx : context;
@@ -782,7 +780,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
           Server.create ~id ~num_servers:cfg.num_servers ~master:cfg.master
             ~trunc_len:cfg.trunc_len
             ~payload_elements:
-              (C.num_inputs cx.circuit + Snip.raw_proof_num_elements cx.circuit);
+              (C.num_inputs cfg.circuit + Snip.proof_num_elements cfg.circuit);
         pending = Hashtbl.create 64; uncommitted = Hashtbl.create 16;
         since_ckpt = 0 }
 
@@ -884,7 +882,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
 
     let prepare t (p : pending) =
       Snip.server_prepare t.cx.batch
-        (Snip.raw_submission_of_vector t.cx.circuit p.share)
+        (Snip.submission_of_vector t.cx.cfg.circuit p.share)
 
     (* One leader round: post [payload] to every follower but [skip], run
        the leader's own step [local] while they work, then gather every
@@ -1190,7 +1188,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
       and came back. [faults], if given, sits on this server's
       frame-receive path (and may [Crash] the process). [cx] is the
       deployment's one {!Node.context}, built by the caller before the
-      fork, so nothing is optimized or derived here.
+      fork, so nothing is derived here.
 
       With [tuning.checkpoint_dir] set, the server resumes from its
       latest valid snapshot at startup (rejecting anything corrupted,

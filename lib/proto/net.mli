@@ -221,23 +221,24 @@ module Make (F : Prio_field.Field_intf.S) : sig
 
     type context
     (** What every server of a deployment verifies against, fixed for the
-        whole deployment: the canonical (optimized) circuit that shares
-        are parsed against, and the batch secrets r and z derived from
-        [batch_seed] with their fixed-r Lagrange weights. *)
+        whole deployment: the batch secrets r and z derived from
+        [batch_seed] with their fixed-r Lagrange weights, over
+        [config.circuit] as deployed. *)
 
     val context : config -> context
-    (** Build the context: optimize [config.circuit] once and derive the
-        batch secrets from [batch_seed]. The secrets are the same for any
-        caller given the same config, so one context serves every node;
-        {!launch} builds it once, before forking. *)
+    (** Build the context: derive the batch secrets from [batch_seed].
+        [config.circuit] is taken as given, not optimized here: shares
+        parse only when clients prove over the same circuit (build it
+        through [Afe.compile], or call [Opt.optimize] once). The secrets
+        are the same for any caller given the same config, so one context
+        serves every node; {!launch} builds it once, before forking. *)
 
     type t
 
     val create : tuning:tuning -> context -> id:int -> effects -> t
     (** A fresh server [id] over a context built by {!context}; nothing
-        is optimized or derived here, so a restart starts serving at
-        once. Reads [tuning]'s [max_pending], [epoch_size] and
-        [checkpoint_every]. *)
+        is derived here, so a restart starts serving at once. Reads
+        [tuning]'s [max_pending], [epoch_size] and [checkpoint_every]. *)
 
     val server : t -> Server.Make(F).t
     (** The accumulator and replay state, for restoring a snapshot into
@@ -311,8 +312,8 @@ module Make (F : Prio_field.Field_intf.S) : sig
       snapshot (accepted submissions up to the last checkpoint survive);
       otherwise it restarts with fresh per-batch state. [min_epoch]
       refuses authentic-but-stale snapshots. The new process reuses the
-      deployment's {!Node.context}, so it re-optimizes and re-derives
-      nothing before it serves.
+      deployment's {!Node.context}, so it re-derives nothing before it
+      serves.
       @raise Invalid_argument if it is still running. *)
 
   (** What a health sweep concluded about one server — strictly more

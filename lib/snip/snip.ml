@@ -31,7 +31,6 @@
 
 module Make (F : Prio_field.Field_intf.S) = struct
   module C = Prio_circuit.Circuit.Make (F)
-  module Opt = Prio_circuit.Opt.Make (F)
   module Ntt = Prio_poly.Ntt.Make (F)
   module RE = Prio_poly.Roots_eval.Make (F)
   module Sh = Prio_share.Share.Make (F)
@@ -50,43 +49,27 @@ module Make (F : Prio_field.Field_intf.S) = struct
 
   type submission_share = { x_share : F.t array; proof : proof_share }
 
-  (* Every public entry point that takes a circuit first runs it through
-     {!Prio_circuit.Opt.canonicalize}, so proof sizes, grids and circuit
-     walks always refer to the optimized form — even for circuits built by
-     hand rather than through the AFE constructors (which optimize at
-     construction time; canonicalizing the same circuit value again is a
-     cached no-op within one functor instance). The [raw_*] variants below
-     operate on exactly the circuit given: a server parses against the
-     circuit it canonicalized once per deployment, and [prove_raw] and
-     [make_batch_ctx_raw] reach them for ablation measurements. *)
-
   (** Grid size N for a circuit: the covering power of two of M+1 slots
       (slot 0 is the random mask). *)
-  let raw_grid_size circuit =
+  let grid_size circuit =
     let m = C.num_mul_gates circuit in
     if m = 0 then 0 else Ntt.next_pow2 (m + 1)
 
-  let grid_size circuit = raw_grid_size (Opt.canonicalize circuit)
-
   (** Field elements in one proof share: 2 masks + 2N h-points + 3 triple
       components (0 when the circuit is multiplication-free). *)
-  let raw_proof_num_elements circuit =
-    let n = raw_grid_size circuit in
-    if n = 0 then 0 else 2 + (2 * n) + 3
-
   let proof_num_elements circuit =
-    raw_proof_num_elements (Opt.canonicalize circuit)
+    let n = grid_size circuit in
+    if n = 0 then 0 else 2 + (2 * n) + 3
 
   (** Parse a flat share vector x_share ‖ f0 ‖ g0 ‖ h_points ‖ a ‖ b ‖ c
       into a submission share. Because additive sharing is coordinate-wise,
       a share of the concatenation is the concatenation of shares — this is
       what lets the PRG-compressed upload path (Appendix I) expand a single
       32-byte seed into a whole submission share. *)
-  let raw_submission_of_vector (circuit : C.t) (v : F.t array) :
-      submission_share =
+  let submission_of_vector (circuit : C.t) (v : F.t array) : submission_share =
     let l = C.num_inputs circuit in
-    let n = raw_grid_size circuit in
-    let expect = l + raw_proof_num_elements circuit in
+    let n = grid_size circuit in
+    let expect = l + proof_num_elements circuit in
     if Array.length v <> expect then
       invalid_arg
         (Printf.sprintf "Snip.submission_of_vector: expected %d elements, got %d"
@@ -112,9 +95,6 @@ module Make (F : Prio_field.Field_intf.S) = struct
           };
       }
 
-  let submission_of_vector (circuit : C.t) (v : F.t array) : submission_share =
-    raw_submission_of_vector (Opt.canonicalize circuit) v
-
   let vector_of_submission (sub : submission_share) : F.t array =
     let p = sub.proof in
     if Array.length p.h_points = 0 then sub.x_share
@@ -129,7 +109,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
   (** The plain (unshared) proof elements f(0) ‖ g(0) ‖ h-points ‖ (a,b,c)
       for inputs x. Concatenated with x and secret-shared, this is the
       client's whole upload. *)
-  let raw_proof_vector ~rng ~(circuit : C.t) ~(inputs : F.t array) : F.t array =
+  let proof_vector ~rng ~(circuit : C.t) ~(inputs : F.t array) : F.t array =
     let m = C.num_mul_gates circuit in
     if m = 0 then [||]
     else begin
@@ -154,23 +134,14 @@ module Make (F : Prio_field.Field_intf.S) = struct
       Array.concat [ [| u.(0); v.(0) |]; h_points; [| a; b; c |] ]
     end
 
-  let proof_vector ~rng ~(circuit : C.t) ~(inputs : F.t array) : F.t array =
-    raw_proof_vector ~rng ~circuit:(Opt.canonicalize circuit) ~inputs
-
-  (** Prove over exactly the circuit given, skipping canonicalization —
-      for ablation benchmarks of the unoptimized form; every party must
-      make the same choice for shares to parse. *)
-  let prove_raw ~rng ~(circuit : C.t) ~num_servers ~(inputs : F.t array) :
+  (** Build and split a complete submission, one share per server. *)
+  let prove ~rng ~(circuit : C.t) ~num_servers ~(inputs : F.t array) :
       submission_share array =
     let s = num_servers in
     if s < 2 then invalid_arg "Snip.prove: need at least two servers";
-    let full = Array.append inputs (raw_proof_vector ~rng ~circuit ~inputs) in
+    let full = Array.append inputs (proof_vector ~rng ~circuit ~inputs) in
     let shares = Sh.split_vector rng ~s full in
-    Array.map (raw_submission_of_vector circuit) shares
-
-  let prove ~rng ~(circuit : C.t) ~num_servers ~(inputs : F.t array) :
-      submission_share array =
-    prove_raw ~rng ~circuit:(Opt.canonicalize circuit) ~num_servers ~inputs
+    Array.map (submission_of_vector circuit) shares
 
   (* ------------------------------------------------------------------ *)
   (* Servers: batched verification (§4.2 steps 2–4, Appendix I).         *)
@@ -193,9 +164,9 @@ module Make (F : Prio_field.Field_intf.S) = struct
       ~2^10 submissions and shares them with the other servers over the
       authenticated server-to-server channels; the client never learns
       them. *)
-  let make_batch_ctx_raw ~rng ~(circuit : C.t) ~num_servers : batch_ctx =
+  let make_batch_ctx ~rng ~(circuit : C.t) ~num_servers : batch_ctx =
     let s = num_servers in
-    let n = raw_grid_size circuit in
+    let n = grid_size circuit in
     let zcoef =
       Array.init (Array.length circuit.C.assert_zero) (fun _ -> F.random rng)
     in
@@ -218,9 +189,6 @@ module Make (F : Prio_field.Field_intf.S) = struct
         zcoef;
       }
     end
-
-  let make_batch_ctx ~rng ~(circuit : C.t) ~num_servers : batch_ctx =
-    make_batch_ctx_raw ~rng ~circuit:(Opt.canonicalize circuit) ~num_servers
 
   type server_state = {
     fr : F.t; (* share of f(r) *)

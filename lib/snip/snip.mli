@@ -22,14 +22,12 @@
 module Make (F : Prio_field.Field_intf.S) : sig
   module C : module type of Prio_circuit.Circuit.Make (F)
 
-  (** Every entry point taking a circuit first runs it through
-      {!Prio_circuit.Opt.canonicalize}: proof sizes, grids and circuit
-      walks refer to the optimized circuit even when callers hand in a
-      raw builder output. The cache behind it is per instance, so the
-      first call for a given circuit value runs the optimizer. The [raw]
-      variants skip the canonicalization, for a circuit that is already
-      canonical or to measure the unoptimized form — all parties must
-      then agree on that choice for shares to parse. *)
+  (** Every entry point takes the circuit as deployed: proof sizes, grids
+      and circuit walks refer to exactly the circuit given, and nothing
+      here optimizes it. A circuit is optimized once, where it is built
+      ([Afe.compile] does it for every AFE; a hand-built circuit calls
+      [Opt.optimize] itself), and client and servers must hold the same
+      circuit for shares to parse. *)
 
   type proof_share = {
     f0 : F.t;  (** share of the random mask f(0) *)
@@ -49,10 +47,6 @@ module Make (F : Prio_field.Field_intf.S) : sig
   val proof_num_elements : C.t -> int
   (** Field elements in one proof share: 2 + 2N + 3 (0 when M = 0). *)
 
-  val raw_proof_num_elements : C.t -> int
-  (** [proof_num_elements] minus the canonicalization: for a circuit that
-      is already canonical. *)
-
   (** {1 Flat-vector form}
 
       A submission share is also a flat vector x ‖ f0 ‖ g0 ‖ h ‖ (a,b,c);
@@ -61,10 +55,6 @@ module Make (F : Prio_field.Field_intf.S) : sig
       PRG-compressed upload path. *)
 
   val submission_of_vector : C.t -> F.t array -> submission_share
-
-  val raw_submission_of_vector : C.t -> F.t array -> submission_share
-  (** [submission_of_vector] minus the canonicalization: for a circuit
-      that is already canonical, such as a server's deployment-wide one. *)
 
   val vector_of_submission : submission_share -> F.t array
 
@@ -76,13 +66,7 @@ module Make (F : Prio_field.Field_intf.S) : sig
   val prove :
     rng:Prio_crypto.Rng.t -> circuit:C.t -> num_servers:int ->
     inputs:F.t array -> submission_share array
-  (** Build and split a complete submission, one share per server,
-      proving over the canonicalized circuit. *)
-
-  val prove_raw :
-    rng:Prio_crypto.Rng.t -> circuit:C.t -> num_servers:int ->
-    inputs:F.t array -> submission_share array
-  (** [prove] minus the canonicalization — ablation benchmarks only. *)
+  (** Build and split a complete submission, one share per server. *)
 
   (** {1 Servers (verifiers)} *)
 
@@ -93,12 +77,6 @@ module Make (F : Prio_field.Field_intf.S) : sig
 
   val make_batch_ctx :
     rng:Prio_crypto.Rng.t -> circuit:C.t -> num_servers:int -> batch_ctx
-
-  val make_batch_ctx_raw :
-    rng:Prio_crypto.Rng.t -> circuit:C.t -> num_servers:int -> batch_ctx
-  (** [make_batch_ctx] minus the canonicalization: for a circuit that is
-      already canonical (a server canonicalizes once per deployment), or
-      paired with [prove_raw] on the client side for ablations. *)
 
   type server_state = {
     fr : F.t;  (** share of f(r) *)

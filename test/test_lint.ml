@@ -20,10 +20,16 @@ let read_file path =
   close_in ic;
   src
 
+(* The corpus and the repo tree are found next to this executable, not
+   from the working directory, so the binary passes wherever it runs. *)
+let here = Filename.dirname Sys.executable_name
+let corpus = Filename.concat here "lint_corpus"
+let root = Filename.concat here ".."
+
 (* Lint one corpus file under every AST rule; diagnostics are labelled
    with the bare file name so expectations stay short. *)
 let lint file =
-  let src = read_file (Filename.concat "lint_corpus" file) in
+  let src = read_file (Filename.concat corpus file) in
   List.map D.to_string
     (Driver.lint_source ~rules:Rules.all_ast_rules ~path:file src)
 
@@ -34,7 +40,7 @@ let check_diags name expected actual =
 let lint_cross rules files =
   let files =
     List.map
-      (fun f -> (f, read_file (Filename.concat "lint_corpus" f)))
+      (fun f -> (f, read_file (Filename.concat corpus f)))
       files
   in
   List.map D.to_string (Driver.lint_sources ~rules ~files)
@@ -329,10 +335,10 @@ let test_callgraph () =
    the domain-unsafe-state walk. *)
 let test_spawn_roots_resolve () =
   let files =
-    Driver.source_files ~root:".." [ "lib"; "bin"; "bench"; "examples" ]
+    Driver.source_files ~root [ "lib"; "bin"; "bench"; "examples" ]
     |> List.filter (fun f -> Filename.check_suffix f ".ml")
     |> List.map (fun path ->
-           let src = read_file (Filename.concat ".." path) in
+           let src = read_file (Filename.concat root path) in
            match Driver.parse_implementation ~path src with
            | Ok str -> (path, src, str)
            | Error d -> Alcotest.failf "parse %s: %s" path (D.to_string d))
@@ -593,20 +599,21 @@ let test_metricreg_check () =
 let test_metric_ledger_current () =
   (* the committed ledger matches what the code actually registers — the
      same diff `dune build @lint` gates on *)
-  match Metricreg.parse ~file:".prio-metrics" (read_file "../.prio-metrics") with
+  let text = read_file (Filename.concat root ".prio-metrics") in
+  match Metricreg.parse ~file:".prio-metrics" text with
   | Error d -> Alcotest.fail (D.to_string d)
   | Ok ledger ->
     let measured =
-      Metricreg.measure ~root:".." ~dirs:[ "lib"; "bin"; "bench"; "examples" ]
+      Metricreg.measure ~root ~dirs:[ "lib"; "bin"; "bench"; "examples" ]
     in
     check_diags "the committed ledger is current" []
       (List.map D.to_string
          (Metricreg.check ~file:".prio-metrics" ~ledger ~measured))
 
 let test_tree_clean () =
-  let baseline = Baseline.load "../.prio-lint-baseline" in
+  let baseline = Baseline.load (Filename.concat root ".prio-lint-baseline") in
   let diags =
-    Driver.lint_tree ~baseline ~root:".."
+    Driver.lint_tree ~baseline ~root
       ~dirs:[ "lib"; "bin"; "bench"; "examples" ] ()
   in
   check_diags "the tree is lint-clean" [] (List.map D.to_string diags)

@@ -167,7 +167,7 @@ let collect c =
 
 (* Sealed once, so every run of a test submits byte-identical packets.
    [cheat] corrupts one client's encoding, which the SNIP rejects. The
-   client proves over [circuit], canonicalizing it on its side. *)
+   client proves over [circuit] as given. *)
 let packets ?cheat ?(circuit = cfg.Net.circuit) values =
   List.mapi
     (fun i x ->
@@ -231,10 +231,9 @@ let test_crash_points () =
     clean.appends
 
 (* A config holding a raw, unoptimized circuit: the builder's output
-   asserted twice, so it has twice the mul gates and a longer proof until
-   the optimizer folds the copies. The context optimizes it once, and a
-   client proving over the same raw circuit gets the verdicts and
-   aggregate of the deployed, optimized one. *)
+   asserted twice, so it has twice the mul gates and a longer proof. The
+   context deploys it as given, and a client proving over the same raw
+   circuit gets the verdicts and aggregate of the optimized deployment. *)
 let test_raw_circuit_config () =
   let raw = C.union afe.A.raw_circuit afe.A.raw_circuit in
   Alcotest.(check bool) "raw circuit has more mul gates" true

@@ -153,6 +153,29 @@ let test_byte_accounting_shapes () =
   let none = traffic Cl.No_robustness afe_big in
   Alcotest.(check int) "no-robustness needs no gossip" 0 none
 
+(* Prio-MPC's wire sizes, pinned exactly at two circuit sizes: the
+   client's flat share vector (encoding ‖ M triples ‖ triple-SNIP proof)
+   and the server-to-server bytes of one submission (the triple SNIP's
+   four elements plus one Beaver round per mul gate). *)
+let test_mpc_sizes_pinned () =
+  let master = Rng.bytes rng 32 in
+  let sizes afe =
+    let cluster =
+      Cl.create ~rng ~mode:Cl.Robust_mpc ~circuit:afe.A.circuit
+        ~trunc_len:afe.A.trunc_len ~num_servers:5 ~master ()
+    in
+    let mode = Cl.client_mode cluster in
+    let pk =
+      Client.submit ~rng ~mode ~num_servers:5 ~client_id:0 ~master
+        (afe.A.encode ~rng 1)
+    in
+    Alcotest.(check bool) "accepted" true (Cl.submit cluster ~client_id:0 pk);
+    ( Client.payload_elements ~mode ~l:afe.A.encoding_len,
+      Cl.total_server_bytes cluster )
+  in
+  Alcotest.(check (pair int int)) "4-bit sum" (38, 1020) (sizes (Sum.sum ~bits:4));
+  Alcotest.(check (pair int int)) "32-bit sum" (262, 5948) (sizes (Sum.sum ~bits:32))
+
 let test_no_privacy_single_server () =
   (* the no-privacy baseline is the degenerate s = 1 deployment *)
   let afe = Sum.sum ~bits:4 in
@@ -739,6 +762,7 @@ let () =
           Alcotest.test_case "rejects cheaters" `Quick test_cluster_rejects_cheater;
           Alcotest.test_case "replay and forgery" `Quick test_cluster_replay_and_forgery;
           Alcotest.test_case "byte accounting shapes" `Quick test_byte_accounting_shapes;
+          Alcotest.test_case "mpc wire sizes pinned" `Quick test_mpc_sizes_pinned;
           Alcotest.test_case "no-privacy single server" `Quick test_no_privacy_single_server;
           Alcotest.test_case "pipeline helpers" `Quick test_pipeline_helpers;
           Alcotest.test_case "upload compression" `Quick test_upload_compression;

@@ -54,10 +54,9 @@ module Suite (F : Field_intf.S) = struct
      on the 2N-grid. Pinned for every grid size 2..1024. *)
   let test_h_points_match_reference () =
     let module N = Prio_poly.Ntt.Make (F) in
-    let module O = Prio_circuit.Opt.Make (F) in
     List.iter
       (fun n ->
-        let circuit = O.canonicalize (bits_circuit (n - 1)) in
+        let circuit = bits_circuit (n - 1) in
         Alcotest.(check int) "grid" n (S.grid_size circuit);
         let inputs = random_bits (n - 1) in
         let _, pairs = C.eval_mul_pairs circuit ~inputs in
@@ -92,6 +91,22 @@ module Suite (F : Field_intf.S) = struct
             (S.verify_all ctx subs)
         done)
       [ (1, 2); (1, 5); (4, 2); (13, 3); (32, 5); (100, 2) ]
+
+  (* A circuit is proved and verified as given. The builder's bit
+     circuit asserted twice keeps both copies' mul gates (an optimizer
+     would fold them into one), so its proof is sized by the raw M, and
+     an honest input over it is still accepted. *)
+  let test_circuit_as_given () =
+    let l = 5 in
+    let raw = bits_circuit l in
+    let circuit = C.union raw raw in
+    Alcotest.(check int) "raw M" (2 * l) (C.num_mul_gates circuit);
+    (* M = 10: N = 16 covers the M + 1 slots *)
+    Alcotest.(check int) "proof sized by raw M" (2 + (2 * 16) + 3)
+      (S.proof_num_elements circuit);
+    let ctx = S.make_batch_ctx ~rng ~circuit ~num_servers:3 in
+    let subs = S.prove ~rng ~circuit ~num_servers:3 ~inputs:(random_bits l) in
+    Alcotest.(check bool) "honest accepted" true (S.verify_all ctx subs)
 
   let test_completeness_affine () =
     let circuit = affine_circuit () in
@@ -353,6 +368,8 @@ module Suite (F : Field_intf.S) = struct
         test_h_points_match_reference;
       Alcotest.test_case (F.name ^ ": completeness") `Quick test_completeness;
       Alcotest.test_case (F.name ^ ": affine circuits") `Quick test_completeness_affine;
+      Alcotest.test_case (F.name ^ ": circuit taken as given") `Quick
+        test_circuit_as_given;
       Alcotest.test_case (F.name ^ ": batch reuse") `Quick test_batch_ctx_reuse;
       Alcotest.test_case (F.name ^ ": rejects bad input") `Quick test_soundness_bad_input;
       Alcotest.test_case (F.name ^ ": rejects tampered proofs") `Quick
