@@ -51,12 +51,3 @@ let solve (a : float array array) (b : float array) : float array =
     done;
     x
   end
-
-(** Matrix-vector product. *)
-let mat_vec (a : float array array) (x : float array) : float array =
-  Array.map
-    (fun row ->
-      let acc = ref 0. in
-      Array.iteri (fun j v -> acc := !acc +. (v *. x.(j))) row;
-      !acc)
-    a

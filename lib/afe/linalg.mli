@@ -7,5 +7,3 @@ exception Singular
 val solve : float array array -> float array -> float array
 (** [solve a b] solves A·x = b; inputs are unmodified.
     @raise Singular when the pivot falls below 1e-12. *)
-
-val mat_vec : float array array -> float array -> float array

@@ -39,23 +39,6 @@ module Make (F : Prio_field.Field_intf.S) = struct
   (* Use/def and liveness                                                *)
   (* ------------------------------------------------------------------ *)
 
-  (** How many times each wire is read — by later gates or by an
-      assert-zero. A wire with use count 0 contributes nothing to the
-      predicate. *)
-  let use_counts (c : C.t) : int array =
-    let u = Array.make (C.num_wires c) 0 in
-    let use x = u.(x) <- u.(x) + 1 in
-    Array.iter
-      (function
-        | C.Input _ | C.Const _ -> ()
-        | C.Add (x, y) | C.Sub (x, y) | C.Mul (x, y) ->
-          use x;
-          use y
-        | C.Scale (_, x) | C.Add_const (_, x) -> use x)
-      c.C.gates;
-    Array.iter use c.C.assert_zero;
-    u
-
   (** Backward liveness from the assert-zero roots: a wire is live iff
       some assert-zero wire depends on it. One reverse sweep suffices
       because gates are topological. *)

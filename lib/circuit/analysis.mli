@@ -18,9 +18,6 @@ module Make (F : Prio_field.Field_intf.S) : sig
 
   val census : C.t -> census
 
-  val use_counts : C.t -> int array
-  (** Reads of each wire by later gates and by assert-zeros. *)
-
   val live_wires : C.t -> bool array
   (** Is each wire reachable backwards from some assert-zero root? *)
 

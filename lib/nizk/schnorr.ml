@@ -13,8 +13,6 @@ type public_key = Group.elt
 
 type signature = { challenge : B.t; response : B.t }
 
-let signature_bytes = 64
-
 let keygen rng : secret_key * public_key =
   let sk = Group.random_exponent rng in
   (sk, Group.exp Group.g sk)

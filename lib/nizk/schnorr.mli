@@ -13,8 +13,6 @@ type public_key = Group.elt
 
 type signature = { challenge : B.t; response : B.t }
 
-val signature_bytes : int
-
 val keygen : Prio_crypto.Rng.t -> secret_key * public_key
 
 val sign : Prio_crypto.Rng.t -> secret_key -> Bytes.t -> signature

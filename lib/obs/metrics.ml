@@ -22,7 +22,6 @@
 let enabled = Atomic.make true
 let enable () = Atomic.set enabled true
 let disable () = Atomic.set enabled false
-let is_enabled () = Atomic.get enabled
 
 (* ------------------------------- buckets ------------------------------- *)
 
@@ -52,12 +51,11 @@ let bucket_upper i =
 
 (* ------------------------------- metrics ------------------------------- *)
 
-type counter = { c_name : string; cell : int Atomic.t }
+type counter = { cell : int Atomic.t }
 
-type gauge = { g_name : string; g_cell : float Atomic.t }
+type gauge = { g_cell : float Atomic.t }
 
 type histogram = {
-  h_name : string;
   buckets : int Atomic.t array;
   h_count : int Atomic.t;
   h_sum : float Atomic.t;
@@ -99,7 +97,7 @@ let register name wrong mk unpack =
 let counter name =
   register name "non-counter"
     (fun () ->
-      let c = { c_name = name; cell = Atomic.make 0 } in
+      let c = { cell = Atomic.make 0 } in
       Hashtbl.replace registry name (Counter c);
       c)
     (function Counter c -> Some c | _ -> None)
@@ -107,7 +105,7 @@ let counter name =
 let gauge name =
   register name "non-gauge"
     (fun () ->
-      let g = { g_name = name; g_cell = Atomic.make 0. } in
+      let g = { g_cell = Atomic.make 0. } in
       Hashtbl.replace registry name (Gauge g);
       g)
     (function Gauge g -> Some g | _ -> None)
@@ -116,8 +114,7 @@ let histogram name =
   register name "non-histogram"
     (fun () ->
       let h =
-        { h_name = name;
-          buckets = Array.init num_buckets (fun _ -> Atomic.make 0);
+        { buckets = Array.init num_buckets (fun _ -> Atomic.make 0);
           h_count = Atomic.make 0; h_sum = Atomic.make 0.;
           h_min = Atomic.make infinity; h_max = Atomic.make neg_infinity }
       in
@@ -267,7 +264,3 @@ let reset () =
             Atomic.set h.h_min infinity;
             Atomic.set h.h_max neg_infinity)
         registry)
-
-let name_of_counter c = c.c_name
-let name_of_gauge g = g.g_name
-let name_of_histogram h = h.h_name

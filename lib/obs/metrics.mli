@@ -23,7 +23,6 @@ val histogram : string -> histogram
 
 val enable : unit -> unit
 val disable : unit -> unit
-val is_enabled : unit -> bool
 
 (** {2 Recording} *)
 
@@ -91,7 +90,3 @@ val percentile : histogram_view -> float -> float option
 
 val reset : unit -> unit
 (** Zero all values; registrations (and metric identities) survive. *)
-
-val name_of_counter : counter -> string
-val name_of_gauge : gauge -> string
-val name_of_histogram : histogram -> string

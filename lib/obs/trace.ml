@@ -55,7 +55,7 @@ let origin r = r.origin
    never collide, so cross-process parent links survive {!merge}. *)
 let sref r id = r.origin ^ "#" ^ string_of_int id
 
-(* Atomic, not ref: with_span/event/add_attr read this from worker
+(* Atomic, not ref: with_span/event read this from worker
    domains while the main domain installs/uninstalls recorders around
    runs (the PR 6 trace-ring race). *)
 let current : recorder option Atomic.t = Atomic.make None
@@ -181,14 +181,6 @@ let event ?attrs name =
       (fresh r ~kind:Event ~parent:(parent_of stack) ~trace:(trace_of stack)
          ~remote:None ?attrs name)
 
-let add_attr k v =
-  match Atomic.get current with
-  | None -> ()
-  | Some r -> (
-    match snd !(my_stack r) with
-    | [] -> ()
-    | sp :: _ -> locked r (fun () -> sp.attrs <- sp.attrs @ [ (k, v) ]))
-
 (* ------------------------------- exporters ----------------------------- *)
 
 (** Recorded spans, oldest first (evicted entries are gone); the list is
@@ -212,37 +204,31 @@ let float_lit f =
     let s = Printf.sprintf "%.12g" f in
     if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
-(* One JSONL record; [id] and [parent] arrive as rendered literals (local
-   ints in a dump, origin-qualified strings in a merge). *)
-let record_to_json ~id ~parent ~origin ~trace ~remote ~kind ~name ~start
-    ~duration attrs =
+(* One JSONL record of a dump. *)
+let span_to_json ~origin sp =
   let buf = Buffer.create 128 in
   let str s = "\"" ^ Json.escape s ^ "\"" in
-  Printf.bprintf buf "{\"id\":%s,\"parent\":%s,\"origin\":%s,\"trace\":%s"
-    id parent (str origin) (str trace);
-  Option.iter (fun r -> Printf.bprintf buf ",\"remote\":%s" (str r)) remote;
+  Printf.bprintf buf "{\"id\":%d,\"parent\":%s,\"origin\":%s,\"trace\":%s"
+    sp.id
+    (match sp.parent with None -> "null" | Some p -> string_of_int p)
+    (str origin) (str sp.trace);
+  Option.iter (fun r -> Printf.bprintf buf ",\"remote\":%s" (str r)) sp.remote;
   Printf.bprintf buf ",\"kind\":%s,\"name\":%s,\"start\":%s"
-    (match kind with Span -> "\"span\"" | Event -> "\"event\"")
-    (str name) (float_lit start);
-  if kind = Span then
-    Printf.bprintf buf ",\"duration\":%s" (float_lit duration);
-  if attrs <> [] then begin
+    (match sp.kind with Span -> "\"span\"" | Event -> "\"event\"")
+    (str sp.name) (float_lit sp.start);
+  if sp.kind = Span then
+    Printf.bprintf buf ",\"duration\":%s" (float_lit sp.duration);
+  if sp.attrs <> [] then begin
     Buffer.add_string buf ",\"attrs\":{";
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
         Printf.bprintf buf "%s:%s" (str k) (str v))
-      attrs;
+      sp.attrs;
     Buffer.add_char buf '}'
   end;
   Buffer.add_char buf '}';
   Buffer.contents buf
-
-let span_to_json ~origin sp =
-  record_to_json ~id:(string_of_int sp.id)
-    ~parent:(match sp.parent with None -> "null" | Some p -> string_of_int p)
-    ~origin ~trace:sp.trace ~remote:sp.remote ~kind:sp.kind ~name:sp.name
-    ~start:sp.start ~duration:sp.duration sp.attrs
 
 let to_jsonl r =
   let buf = Buffer.create 1024 in
@@ -414,57 +400,3 @@ let merge docs =
   in
   List.iter emit (List.sort order (List.rev !roots));
   List.rev !buf
-
-let merged_to_json m =
-  let quote s = "\"" ^ Json.escape s ^ "\"" in
-  record_to_json ~id:(quote m.m_id)
-    ~parent:(match m.m_parent with None -> "null" | Some p -> quote p)
-    ~origin:m.m_origin ~trace:m.m_trace ~remote:None ~kind:m.m_kind
-    ~name:m.m_name ~start:m.m_start ~duration:m.m_duration m.m_attrs
-
-let merge_jsonl docs =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun m ->
-      Buffer.add_string buf (merged_to_json m);
-      Buffer.add_char buf '\n')
-    (merge docs);
-  Buffer.contents buf
-
-let merge_tree docs =
-  let all = merge docs in
-  let children = Hashtbl.create 256 in
-  let roots =
-    List.filter
-      (fun m ->
-        match m.m_parent with
-        | Some p ->
-          Hashtbl.replace children p
-            (m :: (try Hashtbl.find children p with Not_found -> []));
-          false
-        | None -> true)
-      all
-  in
-  let buf = Buffer.create 1024 in
-  let attr_str m =
-    if m.m_attrs = [] then ""
-    else
-      " ["
-      ^ String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) m.m_attrs)
-      ^ "]"
-  in
-  let rec render depth m =
-    Buffer.add_string buf (String.make (2 * depth) ' ');
-    (match m.m_kind with
-    | Span ->
-      Buffer.add_string buf
-        (Printf.sprintf "[%s] %s (%.6fs)%s\n" m.m_origin m.m_name m.m_duration
-           (attr_str m))
-    | Event ->
-      Buffer.add_string buf
-        (Printf.sprintf "[%s] * %s%s\n" m.m_origin m.m_name (attr_str m)));
-    List.iter (render (depth + 1))
-      (List.rev (try Hashtbl.find children m.m_id with Not_found -> []))
-  in
-  List.iter (render 0) roots;
-  Buffer.contents buf

@@ -81,9 +81,6 @@ val context_to_string : context -> string
 val context_of_string : string -> context option
 (** Inverse of {!context_to_string}; [None] on malformed input. *)
 
-val add_attr : string -> string -> unit
-(** Attach a key/value to the innermost open span (no-op outside one). *)
-
 val spans : recorder -> span list
 (** Recorded spans, oldest first; entries evicted by the ring are gone. *)
 
@@ -125,10 +122,3 @@ val merge : string list -> merged list
     siblings order by start time then id (deterministic under a fixed
     clock). Lines that fail to parse — e.g. a dump torn by a kill — are
     skipped; dangling parent references degrade to roots. *)
-
-val merge_jsonl : string list -> string
-(** {!merge} rendered back to JSONL with origin-qualified string ids. *)
-
-val merge_tree : string list -> string
-(** {!merge} rendered as an indented tree, each line prefixed by the
-    process origin. *)

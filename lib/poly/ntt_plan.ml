@@ -18,14 +18,12 @@
 module Make (F : Prio_field.Field_intf.S) = struct
   type t = {
     n : int;
-    log2n : int;
     bitrev : int array;
     pows : F.t array; (* ω^0 … ω^{n-1} *)
     n_inv : F.t;
   }
 
   let size t = t.n
-  let log2_size t = t.log2n
   let n_inv t = t.n_inv
 
   (** ω^{i mod n}; accepts any integer index. *)
@@ -60,7 +58,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
           done;
           !r)
     in
-    { n; log2n = k; bitrev; pows; n_inv = F.inv (F.of_int n) }
+    { n; bitrev; pows; n_inv = F.inv (F.of_int n) }
 
   let cache : (int, t) Hashtbl.t = Hashtbl.create 8
   let cache_mutex = Mutex.create ()
@@ -82,12 +80,6 @@ module Make (F : Prio_field.Field_intf.S) = struct
       Hashtbl.add cache n p;
       Mutex.unlock cache_mutex;
       p
-
-  let cached_sizes () =
-    Mutex.lock cache_mutex;
-    let ks = Hashtbl.fold (fun k _ acc -> k :: acc) cache [] in
-    Mutex.unlock cache_mutex;
-    List.sort Int.compare ks
 
   (** In-place radix-2 transform driven entirely by the plan's tables.
       Forward by default; [~inverse:true] runs the inverse butterflies

@@ -12,7 +12,6 @@ module Make (F : Prio_field.Field_intf.S) : sig
       power of two or exceeds the field's two-adicity. *)
 
   val size : t -> int
-  val log2_size : t -> int
 
   val omega_pow : t -> int -> F.t
   (** [omega_pow t i] is ω^{i mod n} for the plan's primitive root ω;
@@ -24,7 +23,4 @@ module Make (F : Prio_field.Field_intf.S) : sig
   (** In-place radix-2 transform of an array whose length equals
       [size t]. [~inverse:true] runs inverse butterflies without the
       1/n scaling; multiply by {!n_inv} to complete interpolation. *)
-
-  val cached_sizes : unit -> int list
-  (** Sizes currently held by this instantiation's cache, ascending. *)
 end

@@ -10,7 +10,6 @@ module Make (F : Prio_field.Field_intf.S) = struct
   type t = F.t array
 
   let zero : t = [||]
-  let of_coeffs (c : F.t array) : t = c
 
   let normalize (p : t) : t =
     let n = ref (Array.length p) in

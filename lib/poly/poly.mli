@@ -9,7 +9,6 @@ module Make (F : Prio_field.Field_intf.S) : sig
       zeros are permitted. *)
 
   val zero : t
-  val of_coeffs : F.t array -> t
 
   val normalize : t -> t
   (** Strip trailing zero coefficients. *)

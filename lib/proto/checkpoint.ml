@@ -104,17 +104,30 @@ let derive_journal_key ~master ~server_id =
 let journal_path ~dir ~server_id =
   Filename.concat dir (Printf.sprintf "server-%d.djnl" server_id)
 
-let put_u32 b off v =
-  Bytes.set b off (Char.chr ((v lsr 24) land 0xff));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 16) land 0xff));
-  Bytes.set b (off + 2) (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 3) (Char.chr (v land 0xff))
+(* The whole of [b] to [fd]. *)
+let write_all fd b =
+  let rec push off len =
+    if len > 0 then begin
+      let w = Unix.write fd b off len in
+      push (off + w) (len - w)
+    end
+  in
+  push 0 (Bytes.length b)
 
-let get_u32 b off =
-  (Char.code (Bytes.get b off) lsl 24)
-  lor (Char.code (Bytes.get b (off + 1)) lsl 16)
-  lor (Char.code (Bytes.get b (off + 2)) lsl 8)
-  lor Char.code (Bytes.get b (off + 3))
+(* The whole file behind [fd], from offset 0; [None] if it shrank
+   underneath us. *)
+let read_all fd =
+  ignore (Unix.lseek fd 0 SEEK_SET);
+  let size = (Unix.fstat fd).st_size in
+  let b = Bytes.create size in
+  let rec pull off =
+    if off >= size then Some b
+    else
+      match Unix.read fd b off (size - off) with
+      | 0 -> None
+      | r -> pull (off + r)
+  in
+  pull 0
 
 module Make (F : Prio_field.Field_intf.S) = struct
   module W = Wire.Make (F)
@@ -155,13 +168,13 @@ module Make (F : Prio_field.Field_intf.S) = struct
     let body = Bytes.create (header_len + 4 + Bytes.length acc) in
     Bytes.blit_string magic 0 body 0 4;
     Bytes.set body 4 (Char.chr version);
-    put_u32 body 5 snap.server_id;
-    put_u32 body 9 snap.epoch;
-    put_u32 body 13 snap.accepted;
-    put_u32 body 17 snap.decided_in_epoch;
-    put_u32 body 21 snap.journal_seq;
+    Wire.set_u32 body 5 snap.server_id;
+    Wire.set_u32 body 9 snap.epoch;
+    Wire.set_u32 body 13 snap.accepted;
+    Wire.set_u32 body 17 snap.decided_in_epoch;
+    Wire.set_u32 body 21 snap.journal_seq;
     Bytes.blit snap.replay_digest 0 body 25 digest_len;
-    put_u32 body (25 + digest_len) (Array.length snap.accumulator);
+    Wire.set_u32 body (25 + digest_len) (Array.length snap.accumulator);
     Bytes.blit acc 0 body (header_len + 4) (Bytes.length acc);
     Bytes.cat body (Hmac.sha256 ~key body)
 
@@ -179,11 +192,11 @@ module Make (F : Prio_field.Field_intf.S) = struct
       let tag = Bytes.sub b (len - tag_len) tag_len in
       if not (Hmac.verify ~key ~tag body) then Error Bad_hmac
       else
-        let epoch = get_u32 b 9 in
+        let epoch = Wire.get_u32 b 9 in
         if epoch < min_epoch then
           Error (Stale_epoch { snapshot = epoch; floor = min_epoch })
         else
-          let acc_elements = get_u32 b (25 + digest_len) in
+          let acc_elements = Wire.get_u32 b (25 + digest_len) in
           let acc_bytes = len - tag_len - (header_len + 4) in
           if acc_bytes <> acc_elements * F.bytes_len then
             Error (Malformed "accumulator length mismatch")
@@ -195,11 +208,11 @@ module Make (F : Prio_field.Field_intf.S) = struct
             | accumulator ->
               Ok
                 {
-                  server_id = get_u32 b 5;
+                  server_id = Wire.get_u32 b 5;
                   epoch;
-                  accepted = get_u32 b 13;
-                  decided_in_epoch = get_u32 b 17;
-                  journal_seq = get_u32 b 21;
+                  accepted = Wire.get_u32 b 13;
+                  decided_in_epoch = Wire.get_u32 b 17;
+                  journal_seq = Wire.get_u32 b 21;
                   replay_digest = Bytes.sub b 25 digest_len;
                   accumulator;
                 }
@@ -214,13 +227,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
       Fun.protect
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () ->
-          let rec push off len =
-            if len > 0 then begin
-              let w = Unix.write fd b off len in
-              push (off + w) (len - w)
-            end
-          in
-          push 0 (Bytes.length b);
+          write_all fd b;
           Unix.fsync fd)
     with
     | () -> Ok ()
@@ -271,18 +278,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
       Fun.protect
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () ->
-          match
-            let size = (Unix.fstat fd).st_size in
-            let b = Bytes.create size in
-            let rec pull off =
-              if off >= size then Some b
-              else
-                match Unix.read fd b off (size - off) with
-                | 0 -> None (* file shrank underneath us *)
-                | r -> pull (off + r)
-            in
-            pull 0
-          with
+          match read_all fd with
           | Some b -> Ok b
           | None -> Error (Io (file ^ ": short read"))
           | exception Unix.Unix_error (e, _, _) ->
@@ -336,11 +332,11 @@ module Make (F : Prio_field.Field_intf.S) = struct
   let journal_record_bytes (e : journal_entry) : Bytes.t =
     let share = W.vector_to_bytes e.j_share in
     let b = Bytes.create (record_fixed_len + Bytes.length share) in
-    put_u32 b 0 e.j_seq;
-    put_u32 b 4 e.j_client;
+    Wire.set_u32 b 0 e.j_seq;
+    Wire.set_u32 b 4 e.j_client;
     Bytes.set b 8 (if e.j_accepted then 'a' else 'r');
-    put_u32 b 9 e.j_epoch;
-    put_u32 b 13 (Array.length e.j_share);
+    Wire.set_u32 b 9 e.j_epoch;
+    Wire.set_u32 b 13 (Array.length e.j_share);
     Bytes.blit share 0 b record_fixed_len (Bytes.length share);
     b
 
@@ -371,127 +367,115 @@ module Make (F : Prio_field.Field_intf.S) = struct
         (try Unix.close fd with Unix.Unix_error _ -> ());
         Error err
       in
-      match wrap_io file (fun () -> (Unix.fstat fd).st_size) with
+      let opened entries tag =
+        Ok
+          ( List.rev entries,
+            { jr_fd = fd; jr_key = key; jr_file = file; jr_tag = tag;
+              jr_closed = false } )
+      in
+      match wrap_io file (fun () -> read_all fd) with
       | Error e -> fail e
-      | Ok 0 -> (
+      | Ok None -> fail (Io (file ^ ": short read"))
+      | Ok (Some b) when Bytes.length b = 0 -> (
         (* fresh journal: stamp the header *)
         let hdr = Bytes.create journal_header_len in
         Bytes.blit_string journal_magic 0 hdr 0 4;
         Bytes.set hdr 4 (Char.chr journal_version);
-        put_u32 hdr 5 server_id;
+        Wire.set_u32 hdr 5 server_id;
         match
           wrap_io file (fun () ->
-              let rec push off len =
-                if len > 0 then begin
-                  let w = Unix.write fd hdr off len in
-                  push (off + w) (len - w)
-                end
-              in
-              push 0 journal_header_len;
+              write_all fd hdr;
               Unix.fsync fd)
         with
         | Error e -> fail e
-        | Ok () ->
-          Ok
-            ( [],
-              {
-                jr_fd = fd;
-                jr_key = key;
-                jr_file = file;
-                jr_tag = genesis_tag key;
-                jr_closed = false;
-              } ))
-      | Ok size when size < journal_header_len -> fail Truncated
-      | Ok size -> (
-        match
-          wrap_io file (fun () ->
-              ignore (Unix.lseek fd 0 SEEK_SET);
-              let b = Bytes.create size in
-              let rec pull off =
-                if off >= size then Some b
-                else
-                  match Unix.read fd b off (size - off) with
-                  | 0 -> None (* file shrank underneath us *)
-                  | r -> pull (off + r)
+        | Ok () -> opened [] (genesis_tag key))
+      | Ok (Some b) when Bytes.length b < journal_header_len -> fail Truncated
+      | Ok (Some b) ->
+        let size = Bytes.length b in
+        if Bytes.sub_string b 0 4 <> journal_magic then fail Bad_magic
+        else if Char.code (Bytes.get b 4) <> journal_version then
+          fail (Bad_version (Char.code (Bytes.get b 4)))
+        else if Wire.get_u32 b 5 <> server_id then
+          fail (Malformed "journal names a different server")
+        else begin
+          (* A crash mid-append tears only the last record, so a break
+             is a torn tail only when no authentic record follows it. A
+             corrupted length field can make an intact record look torn,
+             but the records after it still chain from its stored tag:
+             look for one at every later offset. *)
+          let chains_at p =
+            let nshare = Wire.get_u32 b (p + 13) in
+            let body_len = record_fixed_len + (nshare * F.bytes_len) in
+            nshare <= max_journal_share
+            && p + body_len + tag_len <= size
+            && Hmac.verify ~key
+                 ~tag:(Bytes.sub b (p + body_len) tag_len)
+                 (Bytes.sub b (p - tag_len) (tag_len + body_len))
+          in
+          let rec chained_after p =
+            p + record_fixed_len + tag_len <= size
+            && (chains_at p || chained_after (p + 1))
+          in
+          let torn entries off prev_tag =
+            if chained_after (off + record_fixed_len + tag_len) then
+              Error Bad_hmac
+            else Ok (entries, off, prev_tag)
+          in
+          (* walk the chain; [Ok (entries, tail, tag)] keeps the byte
+             offset the good prefix ends at so a torn tail truncates *)
+          let rec walk entries off prev_tag =
+            if size - off < record_fixed_len + tag_len then
+              Ok (entries, off, prev_tag)
+            else
+              let nshare = Wire.get_u32 b (off + 13) in
+              let needed =
+                record_fixed_len + (nshare * F.bytes_len) + tag_len
               in
-              pull 0)
-        with
-        | Error e -> fail e
-        | Ok None -> fail (Io (file ^ ": short read"))
-        | Ok (Some b) ->
-          if Bytes.sub_string b 0 4 <> journal_magic then fail Bad_magic
-          else if Char.code (Bytes.get b 4) <> journal_version then
-            fail (Bad_version (Char.code (Bytes.get b 4)))
-          else if get_u32 b 5 <> server_id then
-            fail (Malformed "journal names a different server")
-          else begin
-            (* walk the chain; [Ok (entries, tail, tag)] keeps the byte
-               offset the good prefix ends at so a torn tail truncates *)
-            let rec walk entries off prev_tag =
-              if size - off < record_fixed_len + tag_len then
-                Ok (entries, off, prev_tag)
+              if nshare > max_journal_share || size - off < needed then
+                torn entries off prev_tag
               else
-                let nshare = get_u32 b (off + 13) in
-                let needed =
-                  record_fixed_len + (nshare * F.bytes_len) + tag_len
-                in
-                if nshare > max_journal_share || size - off < needed then
-                  Ok (entries, off, prev_tag)
+                let body_len = needed - tag_len in
+                let record = Bytes.sub b off body_len in
+                let tag = Bytes.sub b (off + body_len) tag_len in
+                if not (Hmac.verify ~key ~tag (Bytes.cat prev_tag record))
+                then
+                  if off + needed = size then
+                    (* torn tail that still parses: drop it *)
+                    torn entries off prev_tag
+                  else Error Bad_hmac
                 else
-                  let body_len = needed - tag_len in
-                  let record = Bytes.sub b off body_len in
-                  let tag = Bytes.sub b (off + body_len) tag_len in
-                  if
-                    not
-                      (Hmac.verify ~key ~tag (Bytes.cat prev_tag record))
-                  then
-                    if off + needed = size then
-                      (* torn tail that still parses: drop it *)
-                      Ok (entries, off, prev_tag)
-                    else Error Bad_hmac
-                  else
-                    match
-                      W.vector_of_bytes
-                        (Bytes.sub b (off + record_fixed_len)
-                           (nshare * F.bytes_len))
-                    with
-                    | exception Invalid_argument what ->
-                      Error (Malformed what)
-                    | j_share ->
-                      let entry =
-                        {
-                          j_seq = get_u32 b off;
-                          j_client = get_u32 b (off + 4);
-                          j_accepted = Bytes.get b (off + 8) = 'a';
-                          j_epoch = get_u32 b (off + 9);
-                          j_share;
-                        }
-                      in
-                      walk (entry :: entries) (off + needed) tag
-            in
-            match walk [] journal_header_len (genesis_tag key) with
+                  match
+                    W.vector_of_bytes
+                      (Bytes.sub b (off + record_fixed_len)
+                         (nshare * F.bytes_len))
+                  with
+                  | exception Invalid_argument what -> Error (Malformed what)
+                  | j_share ->
+                    let entry =
+                      {
+                        j_seq = Wire.get_u32 b off;
+                        j_client = Wire.get_u32 b (off + 4);
+                        j_accepted = Bytes.get b (off + 8) = 'a';
+                        j_epoch = Wire.get_u32 b (off + 9);
+                        j_share;
+                      }
+                    in
+                    walk (entry :: entries) (off + needed) tag
+          in
+          match walk [] journal_header_len (genesis_tag key) with
+          | Error e -> fail e
+          | Ok (entries, tail, tag) -> (
+            match
+              wrap_io file (fun () ->
+                  if tail < size then begin
+                    Unix.ftruncate fd tail;
+                    Unix.fsync fd
+                  end;
+                  ignore (Unix.lseek fd tail SEEK_SET))
+            with
             | Error e -> fail e
-            | Ok (entries, tail, tag) -> (
-              match
-                wrap_io file (fun () ->
-                    if tail < size then begin
-                      Unix.ftruncate fd tail;
-                      Unix.fsync fd
-                    end;
-                    ignore (Unix.lseek fd tail SEEK_SET))
-              with
-              | Error e -> fail e
-              | Ok () ->
-                Ok
-                  ( List.rev entries,
-                    {
-                      jr_fd = fd;
-                      jr_key = key;
-                      jr_file = file;
-                      jr_tag = tag;
-                      jr_closed = false;
-                    } ))
-          end))
+            | Ok () -> opened entries tag)
+        end)
 
   (** Append one decision record and extend the HMAC chain. With [fsync]
       (the default) the record is on stable storage before this returns —
@@ -505,14 +489,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
       let out = Bytes.cat record tag in
       match
         wrap_io j.jr_file (fun () ->
-            let len = Bytes.length out in
-            let rec push off rem =
-              if rem > 0 then begin
-                let w = Unix.write j.jr_fd out off rem in
-                push (off + w) (rem - w)
-              end
-            in
-            push 0 len;
+            write_all j.jr_fd out;
             if fsync then Unix.fsync j.jr_fd)
       with
       | Error _ as err -> err

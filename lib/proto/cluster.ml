@@ -418,7 +418,4 @@ module Make (F : Prio_field.Field_intf.S) = struct
     let acc = ref 0 in
     Array.iter (Array.iter (fun b -> acc := !acc + b)) t.links;
     !acc
-
-  let reset_links t =
-    Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) t.links
 end

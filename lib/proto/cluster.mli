@@ -87,5 +87,4 @@ module Make (F : Prio_field.Field_intf.S) : sig
 
   val bytes_sent : t -> int -> int
   val total_server_bytes : t -> int
-  val reset_links : t -> unit
 end

@@ -14,249 +14,24 @@
     degrades gracefully when a follower dies, and the
     forked processes are supervised ({!Make.poll_servers} /
     {!Make.restart_server}). The whole frame path accepts a
-    deterministic {!Faults} injector for reproducible chaos runs. See
-    the implementation header for the frame grammar and
-    docs/PROTOCOL.md §8 for the failure matrix. *)
+    deterministic {!Faults} injector for reproducible chaos runs.
 
-(** Machine-readable refusal codes carried by [E] frames. *)
-type error_code =
-  | Too_large  (** frame length exceeds the receiver's cap *)
-  | Malformed_frame  (** empty frame, short body, or unparseable payload *)
-  | Unknown_tag
-  | Unknown_client  (** no pending share / recorded verdict for this id *)
-  | Unavailable  (** server degraded (e.g. a follower is down) *)
-  | Rejected  (** submission definitively refused *)
-  | Busy  (** admission queue full; retryable — clients back off *)
-  | Commit_pending
-      (** the leader journaled the verdict but a follower has not acked
-          it, or the leader lost the share in a restart before deciding;
-          the client resubmits so the broadcast can be repaired or the
-          share re-seeded *)
+    This unit is the TCP driver, launch, supervision and the client. It
+    re-exports the wire layer ({!Transport}: errors, tuning, frames,
+    links, probe and scrape; its implementation header has the frame
+    grammar) and the socket-free server protocol ({!Node}, as
+    [Make(F).Node]). docs/PROTOCOL.md §8 has the failure matrix. *)
 
-(** Everything that can go wrong on the wire, as a value. *)
-type protocol_error =
-  | Timeout of string  (** deadline expired *)
-  | Closed of string  (** EOF / EPIPE / ECONNRESET / refused dial *)
-  | Frame_oversize of int  (** peer announced a frame above the cap *)
-  | Bad_frame of string  (** framing or payload violation *)
-  | Peer_error of error_code * string  (** peer answered with an [E] frame *)
-  | Io_error of string  (** any other socket-level error *)
-
-val string_of_error_code : error_code -> string
-val string_of_protocol_error : protocol_error -> string
-
-val ignore_sigpipe : unit -> unit
-(** Make a peer closing mid-write surface as [EPIPE] instead of killing
-    the process. Idempotent; called by every entry point. *)
-
-val max_frame_bytes : int
-(** 16 MiB: the frame cap. Frames announcing more are refused before
-    allocation. *)
-
-(** Deployment-wide knobs; tests shrink the timeouts. *)
-type tuning = {
-  io_timeout : float;  (** per-frame read/write deadline, seconds *)
-  dial_timeout : float;  (** per-connection-establishment deadline *)
-  backoff : Retry.backoff;  (** client-side RPC retry schedule *)
-  max_pending : int;
-      (** admission cap (default 1024): uploads beyond this many
-          in-flight submissions are shed with a retryable [Busy] frame *)
-  epoch_size : int;
-      (** decisions per replay/idempotency epoch (default 0 = never
-          rotate); setting it keeps server memory flat over unbounded
-          streams *)
-  checkpoint_dir : string option;
-      (** snapshot directory (default [None] = durability off); with it
-          set, servers persist after decisions and
-          {!Make.restart_server} resumes mid-collection *)
-  checkpoint_every : int;
-      (** decisions between snapshots (default 16). Every acknowledged
-          decision is already in the fsynced decision journal, so the
-          cadence loses nothing; it bounds how many journal records a
-          restart replays *)
-  trace_dir : string option;
-      (** span-dump directory (default [None]); with it set, each server
-          process records its spans under origin ["server<id>"] and dumps
-          [<trace_dir>/server<id>.jsonl] on clean shutdown, ready for
-          {!Prio_obs.Trace.merge} *)
-}
-
-val default_tuning : tuning
-
-(** {2 Frame-level primitives}
-
-    Exposed so tests (and adversaries in tests) can speak the wire
-    protocol directly. *)
-
-val put_u32 : int -> Bytes.t
-val get_u32 : Bytes.t -> int -> int
-val tagged : char -> Bytes.t -> Bytes.t
-
-val ctx_bytes : unit -> Bytes.t
-(** Length-prefixed trace-context suffix ([u16 len ‖ context]) carried by
-    the causal frames ([P]/[V]/[o]/[d]/[a]/[r]): the calling domain's
-    current {!Prio_obs.Trace.context} when a span is open, else the
-    2-byte empty suffix. Hand-crafted frames must include it. *)
-
-val get_ctx : Bytes.t -> int -> Prio_obs.Trace.context option * int
-(** [get_ctx frame off] parses a {!ctx_bytes} suffix at [off]: the
-    context (when present and well-formed) and the offset just past the
-    suffix. Total — truncated or garbled suffixes degrade to [None]. *)
-
-val write_frame :
-  ?deadline:Retry.deadline -> Unix.file_descr -> Bytes.t ->
-  (unit, protocol_error) result
-(** Length-prefix and send one frame: header and payload are assembled
-    into a single buffer and pushed through one bounded write loop. *)
-
-val read_frame :
-  ?deadline:Retry.deadline -> ?max_bytes:int -> Unix.file_descr ->
-  (Bytes.t, protocol_error) result
-(** Read one frame. [Frame_oversize] is returned {e before} allocating a
-    peer-announced buffer; empty (tag-less) frames are [Bad_frame]. *)
-
-val send_frame :
-  ?faults:Faults.t -> ?deadline:Retry.deadline -> Unix.file_descr ->
-  Bytes.t -> (unit, protocol_error) result
-(** {!write_frame} through an optional fault injector ([Drop] pretends
-    the frame went out; [Crash] exits the calling process). An injected
-    [Disconnect] shuts the connection down (the peer reads EOF) and
-    returns [Closed], but leaves [fd] open: its owner closes it once. *)
-
-val recv_frame :
-  ?faults:Faults.t -> ?deadline:Retry.deadline -> ?max_bytes:int ->
-  Unix.file_descr -> (Bytes.t, protocol_error) result
-(** {!read_frame} through an optional fault injector (a dropped reply
-    surfaces as [Timeout]; a [Disconnect] behaves as in {!send_frame}). *)
-
-val error_frame : error_code -> string -> Bytes.t
-(** Build an [E] frame: ['E'] ‖ code byte ‖ detail. *)
-
-val parse_error_frame : Bytes.t -> (error_code * string) option
-(** Decode an [E] frame (first byte already known to be ['E']). *)
-
-val dial :
-  ?deadline:Retry.deadline -> ?retry_refused:bool -> Unix.sockaddr ->
-  (Unix.file_descr, protocol_error) result
-(** Connect under a deadline with a fresh socket per attempt (a socket
-    that failed [connect] is never reused). With [retry_refused]
-    (default), ECONNREFUSED / ETIMEDOUT / EHOSTUNREACH / ENETUNREACH are
-    retried until the deadline; without it they fail immediately so a
-    caller with its own backoff does not spin on a dead port. *)
-
-(** {2 Health probes and live metrics scrape}
-
-    Process-liveness supervision ([waitpid]) sees only alive/dead; these
-    in-band probes distinguish "serving", "serving but degraded", and
-    "alive but wedged", and pull live metrics out of a running server
-    without embedding an HTTP endpoint. *)
-
-(** One server's answer to an [h] probe. *)
-type health = {
-  h_server : int;  (** server id (0 = leader) *)
-  h_epoch : int;  (** current replay/idempotency epoch *)
-  h_pending : int;  (** admission-queue depth (in-flight submissions) *)
-  h_accepted : int;  (** submissions folded into the accumulator *)
-  h_ckpt_age : float option;
-      (** seconds since the process last wrote a snapshot; [None] when
-          durability is off or nothing has been checkpointed yet *)
-  h_peers : (int * bool) list;
-      (** leader only: per-follower [(server id, gossip link cached)] —
-          [false] means the persistent connection was dropped after a
-          failure (it is redialed on demand) *)
-}
-
-val probe_health :
-  ?tuning:tuning -> Unix.sockaddr -> (health, protocol_error) result
-(** Ask one server for its {!health} over a fresh connection ([h] → [H]).
-    The error is itself a signal: a refused dial means the port is dead,
-    a timeout that the process is wedged. *)
-
-val scrape_metrics :
-  ?tuning:tuning -> ?format:[ `Prometheus | `Json ] ->
-  Unix.sockaddr -> (string, protocol_error) result
-(** Pull one server's live metrics registry over TCP ([q] → [m]) as
-    Prometheus exposition text (default) or the
-    {!Prio_obs.Report.json} snapshot (which carries p50/p95/p99 per
-    histogram — the per-stage latency view). *)
+include module type of struct
+  include Transport
+end
 
 module Make (F : Prio_field.Field_intf.S) : sig
-  module C : module type of Prio_circuit.Circuit.Make (F)
-  module Client : module type of Client.Make (F)
-
-  type config = {
-    circuit : C.t;
-    trunc_len : int;
-    num_servers : int;
-    master : Bytes.t;
-    batch_seed : Bytes.t;
-        (** all servers derive the shared batch secrets (r, z) from this;
-            a deployment would distribute it over the authenticated
-            server-to-server channels *)
-  }
-
-  (** One server's protocol without sockets, files or clocks: admission,
-      the leader's two SNIP gossip rounds, the two-phase decision
-      broadcast, epoch rotation and the snapshot cadence. {!serve} drives
-      it over TCP; a test can wire several nodes' {!effects} straight
-      into each other's {!handle}. *)
-  module Node : sig
-    (** Everything the core asks of the outside world. *)
-    type effects = {
-      scatter :
-        ?skip:int -> Bytes.t ->
-        (unit -> (Bytes.t, protocol_error) result option array);
-          (** leader only: post the frame to every follower but [skip]
-              (0-based follower index) now, and return a thunk that
-              gathers their replies in follower order ([None] for
-              [skip]). The leader's own step runs between the two. *)
-      drop : int -> unit;
-          (** drop the link to a follower whose reply desynced the stream *)
-      journal : Checkpoint.Make(F).journal_entry -> bool;
-          (** the write-ahead append, durable on return; [false] when the
-              journal refused the record *)
-      snapshot : Server.Make(F).t -> unit;
-          (** persist this state and truncate the journal it absorbed *)
-    }
-
-    type context
-    (** What every server of a deployment verifies against, fixed for the
-        whole deployment: the batch secrets r and z derived from
-        [batch_seed] with their fixed-r Lagrange weights, over
-        [config.circuit] as deployed. *)
-
-    val context : config -> context
-    (** Build the context: derive the batch secrets from [batch_seed].
-        [config.circuit] is taken as given, not optimized here: shares
-        parse only when clients prove over the same circuit (build it
-        through [Afe.compile], or call [Opt.optimize] once). The secrets
-        are the same for any caller given the same config, so one context
-        serves every node; {!launch} builds it once, before forking. *)
-
-    type t
-
-    val create : tuning:tuning -> context -> id:int -> effects -> t
-    (** A fresh server [id] over a context built by {!context}; nothing
-        is derived here, so a restart starts serving at once. Reads
-        [tuning]'s [max_pending], [epoch_size] and [checkpoint_every]. *)
-
-    val server : t -> Server.Make(F).t
-    (** The accumulator and replay state, for restoring a snapshot into
-        before {!replay}, and for health. *)
-
-    val depth : t -> int
-    (** Admission-queue depth: uploads not yet decided. *)
-
-    val replay : t -> Checkpoint.Make(F).journal_entry list -> unit
-    (** Re-apply journal entries past the restored snapshot's
-        [journal_seq] watermark. The leader marks them uncommitted, so a
-        retried [V] repairs a broadcast the crash cut short. *)
-
-    val handle : t -> Bytes.t -> Bytes.t * [ `Keep | `Close ]
-    (** Answer one [P], [V], [o], [d], [a], [r] or [Q] frame with the
-        reply frame; [`Close] when the stream is malformed or the tag
-        unknown. *)
+  include module type of struct
+    include Node.Make (F)
   end
+
+  module Client : module type of Client.Make (F)
 
   val serve :
     ?tuning:tuning -> ?faults:Faults.t -> ?restore_min_epoch:int ->

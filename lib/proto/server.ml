@@ -58,9 +58,6 @@ module Make (F : Prio_field.Field_intf.S) = struct
      well-known value, so the digest commits only to what was admitted. *)
   let initial_replay_digest () = Sha256.digest_string "prio-replay-digest-v1"
 
-  let u32_be v =
-    Bytes.init 4 (fun i -> Char.chr ((v lsr (8 * (3 - i))) land 0xff))
-
   let create ~id ~num_servers ~master ~trunc_len ~payload_elements =
     {
       id;
@@ -129,7 +126,9 @@ module Make (F : Prio_field.Field_intf.S) = struct
     let c = Sha256.init () in
     Sha256.update_string c "prio-epoch-rotate";
     Sha256.update c t.replay_digest;
-    Sha256.update c (u32_be t.epoch);
+    let epoch = Bytes.create 4 in
+    Wire.set_u32 epoch 0 t.epoch;
+    Sha256.update c epoch;
     t.replay_digest <- Sha256.finalize c;
     Metrics.incr m_rotations;
     Metrics.set g_resident (float_of_int (resident_entries t));

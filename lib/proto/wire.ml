@@ -6,6 +6,11 @@
     reports). Share payloads carry a one-byte tag distinguishing an explicit
     vector from a 32-byte PRG seed (the Appendix I compressed form). *)
 
+(* The one big-endian integer codec of [prio_proto]: frame lengths and
+   client ids, and the snapshot and journal headers. *)
+let set_u32 b off v = Bytes.set_int32_be b off (Int32.of_int v)
+let get_u32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xffff_ffff
+
 module Make (F : Prio_field.Field_intf.S) = struct
   module Sh = Prio_share.Share.Make (F)
 
@@ -62,7 +67,4 @@ module Make (F : Prio_field.Field_intf.S) = struct
       Sh.Seed body
     | c when c = tag_explicit -> Sh.Explicit (vector_of_bytes body)
     | _ -> invalid_arg "Wire.payload_of_bytes: unknown tag"
-
-  (** Size in bytes of a serialized element count. *)
-  let elements_bytes n = n * F.bytes_len
 end

@@ -3,6 +3,13 @@
     Message sizes measured by the cluster's byte counters are exactly the
     bytes a deployment would send (Figure 6). *)
 
+val set_u32 : Bytes.t -> int -> int -> unit
+(** [set_u32 b off v] writes the low 32 bits of [v] big-endian at [off]:
+    the one integer codec of frames, snapshots and journals. *)
+
+val get_u32 : Bytes.t -> int -> int
+(** The unsigned big-endian 32-bit integer at [off]. *)
+
 module Make (F : Prio_field.Field_intf.S) : sig
   module Sh : module type of Prio_share.Share.Make (F)
 
@@ -23,7 +30,4 @@ module Make (F : Prio_field.Field_intf.S) : sig
 
   val payload_of_bytes : Bytes.t -> Sh.compressed
   (** @raise Invalid_argument on unknown tags or bad seed lengths. *)
-
-  val elements_bytes : int -> int
-  (** Serialized size of [n] field elements. *)
 end

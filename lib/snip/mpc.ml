@@ -47,15 +47,6 @@ module Make (F : Prio_field.Field_intf.S) = struct
     done;
     C.Builder.build b
 
-  (** Flatten triples into the triple-circuit's input vector. *)
-  let triples_to_inputs (triples : triple_share array) : F.t array =
-    let m = Array.length triples in
-    Array.init (3 * m) (fun i ->
-        let t = i mod m in
-        if i < m then triples.(t).a
-        else if i < 2 * m then triples.(t).b
-        else triples.(t).c)
-
   type stats = {
     rounds : int;  (** communication rounds (circuit depth in mul gates) *)
     elements_broadcast_per_server : int;

@@ -23,9 +23,6 @@ module Make (F : Prio_field.Field_intf.S) : sig
   (** The public circuit asserting a_t·b_t = c_t for all t over inputs
       (a_1..a_m, b_1..b_m, c_1..c_m) — what the client's SNIP proves. *)
 
-  val triples_to_inputs : triple_share array -> F.t array
-  (** Flatten one party's triples into the triple circuit's input order. *)
-
   type stats = {
     rounds : int;  (** Beaver rounds = mul gates evaluated *)
     elements_broadcast_per_server : int;

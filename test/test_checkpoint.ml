@@ -312,6 +312,36 @@ let test_journal_tamper () =
   | Ok (_, j) ->
     CkF.journal_close j;
     Alcotest.fail "opened a tampered journal");
+  (* a flipped bit anywhere in the first record's fixed fields of five —
+     its share count included, which can make an intact record look torn
+     by overrunning the file or the cap — is tampering: refused, with the
+     file left as it was *)
+  write_journal dir "";
+  let _, j = open_exn ~key:jkey ~dir ~server_id:1 () in
+  for seq = 1 to 5 do
+    append_exn j (entry ~seq ~client:(100 * seq) ~accepted:(seq <> 3) ())
+  done;
+  CkF.journal_close j;
+  let five = journal_bytes dir in
+  for i = 0 to 16 do
+    List.iter
+      (fun mask ->
+        let what = Printf.sprintf "record byte %d ^ 0x%02x" i mask in
+        let b = Bytes.of_string five in
+        (* past the 9-byte file header *)
+        Bytes.set b (9 + i) (Char.chr (Char.code (Bytes.get b (9 + i)) lxor mask));
+        let mauled = Bytes.to_string b in
+        write_journal dir mauled;
+        (match CkF.journal_open ~key:jkey ~dir ~server_id:1 () with
+        | Error Ck.Bad_hmac -> ()
+        | Error e -> Alcotest.failf "%s: unexpected %s" what (Ck.string_of_error e)
+        | Ok (entries, j) ->
+          CkF.journal_close j;
+          Alcotest.failf "%s: opened with %d entries" what (List.length entries));
+        Alcotest.(check bool) (what ^ ": file untouched") true
+          (String.equal mauled (journal_bytes dir)))
+      [ 0x01; 0x80 ]
+  done;
   (* wrong key (another deployment) fails the same way *)
   write_journal dir whole;
   let other = Ck.derive_journal_key ~master:(Rng.bytes rng 32) ~server_id:1 in

@@ -1142,6 +1142,24 @@ let test_scrape_and_health () =
       Alcotest.(check (list (pair int bool))) "followers hold no gossip links"
         [] h1.NetT.h_peers)
 
+let test_probe_dead_port () =
+  (* a probe does not retry: a port nothing listens on answers [Closed]
+     at once, well within the dial deadline a collection would wait out *)
+  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  let addr = Unix.getsockname fd in
+  Unix.close fd;
+  let tuning = NetT.{ default_tuning with dial_timeout = 2.0 } in
+  let t0 = Retry.now () in
+  (match NetT.probe_health ~tuning addr with
+  | Error (NetT.Closed _) -> ()
+  | Ok _ -> Alcotest.fail "a dead port answered the probe"
+  | Error e ->
+    Alcotest.failf "expected Closed, got %s" (NetT.string_of_protocol_error e));
+  let took = Retry.now () -. t0 in
+  if took > 0.5 then
+    Alcotest.failf "the probe took %.3f s of its 2 s dial deadline" took
+
 let test_probe_driven_supervision () =
   let afe = Sum.sum ~bits:4 in
   with_deployment afe (fun d ->
@@ -1334,6 +1352,8 @@ let () =
         [
           Alcotest.test_case "live scrape and health probes" `Quick
             test_scrape_and_health;
+          Alcotest.test_case "probe of a dead port fails fast" `Quick
+            test_probe_dead_port;
           Alcotest.test_case "probe-driven supervision" `Quick
             test_probe_driven_supervision;
           Alcotest.test_case "merged trace ancestry under chaos" `Quick

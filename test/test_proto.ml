@@ -18,6 +18,40 @@ let rng = Rng.of_string_seed "proto-tests"
 
 (* ------------------------------- wire ------------------------------- *)
 
+(* The [H] payload of a health probe: every field round-trips through the
+   JSON writer and reader, and the reader refuses anything else. *)
+let test_health_json () =
+  let module T = Prio_proto.Transport in
+  List.iter
+    (fun (h_ckpt_age, h_peers) ->
+      let h =
+        { T.h_server = 3; h_epoch = 7; h_pending = 2; h_accepted = 41;
+          h_ckpt_age; h_peers }
+      in
+      let text = T.health_to_json h in
+      Alcotest.(check bool) ("round trip " ^ text) true
+        (T.health_of_json text = Some h);
+      for cut = 0 to String.length text - 1 do
+        if T.health_of_json (String.sub text 0 cut) <> None then
+          Alcotest.failf "read a payload truncated to %d bytes" cut
+      done)
+    [ (None, []); (Some (0.1 +. 0.2), []);
+      (None, [ (1, true); (2, false); (3, true); (4, false) ]);
+      (Some 1234.5e-9, [ (1, false); (2, true); (3, false); (4, true) ]) ];
+  List.iter
+    (fun text ->
+      if T.health_of_json text <> None then Alcotest.failf "read %S" text)
+    [ "";
+      "health";
+      "\000\000\000\003";
+      "[]";
+      {|{"server":0,"epoch":"1","pending":0,"accepted":0,"ckpt_age":null,"peers":[]}|};
+      {|{"server":0.5,"epoch":1,"pending":0,"accepted":0,"ckpt_age":null,"peers":[]}|};
+      {|{"server":0,"epoch":1,"pending":0,"accepted":0,"ckpt_age":"old","peers":[]}|};
+      {|{"server":0,"epoch":1,"pending":0,"accepted":0,"ckpt_age":null,"peers":[[1,1]]}|};
+      {|{"server":0,"epoch":1,"pending":0,"accepted":0,"ckpt_age":null,"peers":{}}|};
+      {|{"server":0,"epoch":1,"pending":0,"ckpt_age":null,"peers":[]}|} ]
+
 let test_wire_vector () =
   for _ = 1 to 10 do
     let v = Array.init (Rng.int_below rng 20) (fun _ -> F.random rng) in
@@ -755,6 +789,7 @@ let () =
           Alcotest.test_case "payloads" `Quick test_wire_payload;
           Alcotest.test_case "client packets known answer" `Quick
             test_client_packets_known_answer;
+          Alcotest.test_case "health record JSON" `Quick test_health_json;
         ] );
       ( "cluster",
         [
