@@ -1358,10 +1358,10 @@ let net_scaling () =
     deployments;
   print_endline
     "(each domain keeps one submission in flight end-to-end; every server\n\
-    \ is one single-threaded event loop, so the rows measure client\n\
-    \ concurrency only, and speedup above 1x needs spare physical cores\n\
-    \ beyond the 3 server processes — the cores field records what this\n\
-    \ machine had)"
+    \ is one single-threaded event loop whose leader overlaps the rounds\n\
+    \ of concurrent submissions, and speedup above 1x needs spare\n\
+    \ physical cores beyond the 3 server processes — the cores field\n\
+    \ records what this machine had)"
 
 (* ---------------------------------------------------------------------- *)
 (* Multicore batch verification.                                           *)

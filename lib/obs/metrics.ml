@@ -156,6 +156,7 @@ let mean h =
    tests swap in manual clocks from the main domain (the PR 5 race). *)
 let clock = Atomic.make Clock.system
 let set_clock c = Atomic.set clock c
+let now () = Clock.now (Atomic.get clock)
 
 let time h f =
   if not (Atomic.get enabled) then f ()

@@ -44,6 +44,10 @@ val time : histogram -> (unit -> 'a) -> 'a
     clock set by {!set_clock}); passthrough when disabled. The duration
     is recorded even if the thunk raises. *)
 
+val now : unit -> float
+(** The clock {!time} reads, for a stage that spans several calls: take
+    [now ()] when it starts and {!observe} the difference when it ends. *)
+
 val set_clock : Clock.t -> unit
 (** Swap the clock used by {!time} (default {!Clock.system}). *)
 

@@ -40,16 +40,20 @@
     {v
     "PRDJ" ‖ version u8 ‖ server_id u32                        (header)
     seq u32 ‖ client_id u32 ‖ verdict u8 ('a'/'r') ‖ epoch u32
-            ‖ nshare u32 ‖ share (nshare · F.bytes_len)
-            ‖ chain tag (32 bytes)                             (per record)
+            ‖ nshare u32 ‖ head MAC (8 bytes)
+            ‖ share (nshare · F.bytes_len)
+            ‖ chain tag (24 bytes)                             (per record)
     v}
 
-    where [tag_i = HMAC(jkey, tag_{i-1} ‖ record_i_without_tag)] and the
-    genesis tag is derived from the per-server journal key — so records
-    cannot be forged, reordered, or dropped from the middle without
-    breaking the chain. A torn tail (crash mid-append) is detected and
-    truncated on open; a broken chain {e not} at the tail is tampering
-    and refuses to load. *)
+    where [head_i = HMAC(jkey, tag_{i-1} ‖ fixed fields_i)] and [tag_i =
+    HMAC(jkey, tag_{i-1} ‖ record_i_without_tag)], both truncated, and
+    the genesis tag is derived from the per-server journal key — so
+    records cannot be forged, reordered, or dropped from the middle
+    without breaking the chain. The head MAC vouches for the share count
+    of a record whose chain tag cannot be checked: a record the file
+    ends inside (a crash mid-append) is a torn tail, truncated on open;
+    a complete record that fails a MAC is corruption or tampering, even
+    the last one, and refuses to load. *)
 
 module Hmac = Prio_crypto.Hmac
 
@@ -91,7 +95,7 @@ let path ~dir ~server_id =
   Filename.concat dir (Printf.sprintf "server-%d.ckpt" server_id)
 
 let journal_magic = "PRDJ"
-let journal_version = 1
+let journal_version = 2
 let journal_header_len = 4 + 1 + 4
 
 (** Per-server decision-journal MAC key, domain-separated from the
@@ -320,27 +324,34 @@ module Make (F : Prio_field.Field_intf.S) = struct
     mutable jr_closed : bool;
   }
 
-  (* seq ‖ client ‖ verdict ‖ epoch ‖ nshare *)
+  (* seq ‖ client ‖ verdict ‖ epoch ‖ nshare, then the head MAC over
+     them. The chain tag is cut to 24 bytes to pay for the head MAC, so a
+     record is as long as a version-1 record. *)
   let record_fixed_len = 4 + 4 + 1 + 4 + 4
-
-  (* Sanity cap on a record's share count: real entries hold one truncated
-     accumulator row, so anything past this is garbage from a torn write. *)
-  let max_journal_share = 1 lsl 20
+  let head_mac_len = 8
+  let head_len = record_fixed_len + head_mac_len
+  let chain_tag_len = 24
 
   let genesis_tag key = Hmac.sha256 ~key (Bytes.of_string "prio-journal-genesis")
 
-  let journal_record_bytes (e : journal_entry) : Bytes.t =
+  (* the record without its chain tag *)
+  let journal_record_bytes ~key ~prev (e : journal_entry) : Bytes.t =
     let share = W.vector_to_bytes e.j_share in
-    let b = Bytes.create (record_fixed_len + Bytes.length share) in
+    let b = Bytes.create (head_len + Bytes.length share) in
     Wire.set_u32 b 0 e.j_seq;
     Wire.set_u32 b 4 e.j_client;
     Bytes.set b 8 (if e.j_accepted then 'a' else 'r');
     Wire.set_u32 b 9 e.j_epoch;
     Wire.set_u32 b 13 (Array.length e.j_share);
-    Bytes.blit share 0 b record_fixed_len (Bytes.length share);
+    Bytes.blit
+      (Hmac.sha256_trunc ~key head_mac_len
+         (Bytes.cat prev (Bytes.sub b 0 record_fixed_len)))
+      0 b record_fixed_len head_mac_len;
+    Bytes.blit share 0 b head_len (Bytes.length share);
     b
 
-  let chain_tag ~key ~prev record = Hmac.sha256 ~key (Bytes.cat prev record)
+  let chain_tag ~key ~prev record =
+    Hmac.sha256_trunc ~key chain_tag_len (Bytes.cat prev record)
 
   let wrap_io file f =
     match f () with
@@ -398,69 +409,52 @@ module Make (F : Prio_field.Field_intf.S) = struct
         else if Wire.get_u32 b 5 <> server_id then
           fail (Malformed "journal names a different server")
         else begin
-          (* A crash mid-append tears only the last record, so a break
-             is a torn tail only when no authentic record follows it. A
-             corrupted length field can make an intact record look torn,
-             but the records after it still chain from its stored tag:
-             look for one at every later offset. *)
-          let chains_at p =
-            let nshare = Wire.get_u32 b (p + 13) in
-            let body_len = record_fixed_len + (nshare * F.bytes_len) in
-            nshare <= max_journal_share
-            && p + body_len + tag_len <= size
-            && Hmac.verify ~key
-                 ~tag:(Bytes.sub b (p + body_len) tag_len)
-                 (Bytes.sub b (p - tag_len) (tag_len + body_len))
-          in
-          let rec chained_after p =
-            p + record_fixed_len + tag_len <= size
-            && (chains_at p || chained_after (p + 1))
-          in
-          let torn entries off prev_tag =
-            if chained_after (off + record_fixed_len + tag_len) then
-              Error Bad_hmac
-            else Ok (entries, off, prev_tag)
-          in
-          (* walk the chain; [Ok (entries, tail, tag)] keeps the byte
-             offset the good prefix ends at so a torn tail truncates *)
+          (* Walk the chain; [Ok (entries, tail, tag)] keeps the byte
+             offset the good prefix ends at, so a torn tail truncates. A
+             crash mid-append leaves a prefix of one record: too short to
+             hold a head, or an authentic head announcing more bytes than
+             the file holds. A record whose chain tag verifies needs no
+             head check; any other is judged by its head MAC. *)
           let rec walk entries off prev_tag =
-            if size - off < record_fixed_len + tag_len then
-              Ok (entries, off, prev_tag)
+            let torn () = Ok (entries, off, prev_tag) in
+            let authentic ~len ~tag_at ~tag_len =
+              Hmac.verify ~key
+                ~tag:(Bytes.sub b tag_at tag_len)
+                (Bytes.cat prev_tag (Bytes.sub b off len))
+            in
+            if size - off < head_len then torn ()
             else
-              let nshare = Wire.get_u32 b (off + 13) in
-              let needed =
-                record_fixed_len + (nshare * F.bytes_len) + tag_len
-              in
-              if nshare > max_journal_share || size - off < needed then
-                torn entries off prev_tag
-              else
-                let body_len = needed - tag_len in
-                let record = Bytes.sub b off body_len in
-                let tag = Bytes.sub b (off + body_len) tag_len in
-                if not (Hmac.verify ~key ~tag (Bytes.cat prev_tag record))
-                then
-                  if off + needed = size then
-                    (* torn tail that still parses: drop it *)
-                    torn entries off prev_tag
-                  else Error Bad_hmac
-                else
-                  match
-                    W.vector_of_bytes
-                      (Bytes.sub b (off + record_fixed_len)
-                         (nshare * F.bytes_len))
-                  with
-                  | exception Invalid_argument what -> Error (Malformed what)
-                  | j_share ->
-                    let entry =
-                      {
-                        j_seq = Wire.get_u32 b off;
-                        j_client = Wire.get_u32 b (off + 4);
-                        j_accepted = Bytes.get b (off + 8) = 'a';
-                        j_epoch = Wire.get_u32 b (off + 9);
-                        j_share;
-                      }
-                    in
-                    walk (entry :: entries) (off + needed) tag
+              let share_len = Wire.get_u32 b (off + 13) * F.bytes_len in
+              let body_len = head_len + share_len in
+              let complete = size - off >= body_len + chain_tag_len in
+              if
+                complete
+                && authentic ~len:body_len ~tag_at:(off + body_len)
+                     ~tag_len:chain_tag_len
+              then
+                match
+                  W.vector_of_bytes (Bytes.sub b (off + head_len) share_len)
+                with
+                | exception Invalid_argument what -> Error (Malformed what)
+                | j_share ->
+                  let entry =
+                    {
+                      j_seq = Wire.get_u32 b off;
+                      j_client = Wire.get_u32 b (off + 4);
+                      j_accepted = Bytes.get b (off + 8) = 'a';
+                      j_epoch = Wire.get_u32 b (off + 9);
+                      j_share;
+                    }
+                  in
+                  walk (entry :: entries) (off + body_len + chain_tag_len)
+                    (Bytes.sub b (off + body_len) chain_tag_len)
+              else if
+                complete
+                || not
+                     (authentic ~len:record_fixed_len
+                        ~tag_at:(off + record_fixed_len) ~tag_len:head_mac_len)
+              then Error Bad_hmac
+              else torn ()
           in
           match walk [] journal_header_len (genesis_tag key) with
           | Error e -> fail e
@@ -484,7 +478,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
       (unit, error) result =
     if j.jr_closed then Error (Io (j.jr_file ^ ": journal closed"))
     else begin
-      let record = journal_record_bytes e in
+      let record = journal_record_bytes ~key:j.jr_key ~prev:j.jr_tag e in
       let tag = chain_tag ~key:j.jr_key ~prev:j.jr_tag record in
       let out = Bytes.cat record tag in
       match

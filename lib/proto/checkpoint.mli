@@ -106,9 +106,11 @@ module Make (F : Prio_field.Field_intf.S) : sig
     (journal_entry list * journal, error) result
   (** Open (creating if absent) the server's journal, verify the HMAC
       chain and return the surviving entries in append order plus the
-      handle. A torn tail (crash mid-append) is silently truncated; a
-      chain break before the tail is tampering and fails [Bad_hmac]; a
-      journal naming another server is [Malformed]. *)
+      handle. A torn tail (the file ends inside a record, as a crash
+      mid-append leaves it) is silently truncated; a complete record
+      whose head MAC or chain tag fails, the last one included, is
+      corruption or tampering and fails [Bad_hmac], leaving the file as
+      it was; a journal naming another server is [Malformed]. *)
 
   val journal_append :
     ?fsync:bool -> journal -> journal_entry -> (unit, error) result

@@ -14,9 +14,11 @@
 
     Fault tolerance (the paper's §2/§5 threat model — faulty or malicious
     clients *and* servers — applied to the wire):
-    - every read/write carries a deadline ({!Retry.deadline}), so a dead
-      peer never wedges the serve loop; the loop itself blocks in
-      [select] only while no connection is readable;
+    - a server never blocks on a read: its event loop reassembles each
+      connection's frames as bytes arrive, and the leader keeps a round
+      per submission in flight, so a slow or stalled peer holds up only
+      its own connection; a follower's reply is due [io_timeout] after
+      the request, and every blocking write has a deadline;
     - frames are size-capped; a peer claiming an enormous frame gets an
       [E]rror frame instead of an allocation;
     - protocol deviations surface as {!protocol_error} values (never
@@ -90,6 +92,9 @@ module Make (F : Prio_field.Field_intf.S) = struct
   module Client = Client.Make (F)
   module Ckpt = Checkpoint.Make (F)
   module Rng = Prio_crypto.Rng
+
+  (* a client connection of [serve] and the bytes it sent so far *)
+  type conn = { fd : Unix.file_descr; inbox : Inbox.t }
 
   (** Run one server's event loop, the TCP driver around a {!Node}, until
       an [X] frame arrives. [listen_fd] must already be bound and
@@ -184,47 +189,50 @@ module Make (F : Prio_field.Field_intf.S) = struct
     let followers =
       Links.create ~tuning ~retry_refused:true (Array.sub follower_addrs 0 nf)
     in
-    (* One follower's leg of a leader round, split so the leader can write
-       to every follower before reading from any: the request goes out
-       now, the returned thunk reads the reply. A failure on a *cached*
-       link may just mean the peer restarted since we last spoke (stale
-       persistent connection): the link is dropped, and the exchange is
-       redone once over a fresh dial. A failure on a connection we just
-       established is authoritative — the follower really is down. The
-       reply deadline runs from the read, not the write: the leader works
-       on its own share in between. *)
-    let leg j payload =
-      let cached = Links.cached followers j in
-      let redo () = Links.post followers j payload in
-      let read (fd, _) =
-        Links.read followers j ~deadline:(Retry.after tuning.io_timeout) fd
-      in
-      match Links.post followers j payload with
-      | Ok p -> (
-        fun () ->
-          match read p with
-          | Error _ when cached -> Result.bind (redo ()) read
-          | r -> r)
-      | Error _ when cached ->
-        let p = redo () in
-        fun () -> Result.bind p read
-      | Error e -> fun () -> Error e
+    (* The leader's requests each follower still owes a reply, oldest
+       first — one per reply the node's rounds await on that link, in the
+       same order: the frame, the time its reply is due, and whether it
+       went out on a link dialed for it. Replies are reassembled per
+       link; [broken] holds a link's failure until the node's call
+       returns. *)
+    let owed = Array.init nf (fun _ -> Queue.create ()) in
+    let inboxes = Array.init nf (fun _ -> Inbox.create ()) in
+    let broken = Array.make nf None in
+    let post ~fresh j payload =
+      if Option.is_none broken.(j) then
+        Links.post followers j payload
+        |> Result.iter_error (fun e -> broken.(j) <- Some e);
+      Queue.push (payload, Retry.after tuning.io_timeout, fresh) owed.(j)
     in
-    (* read every reply in follower order — all of them, even after a
-       failure, so no link is left holding an unread reply *)
-    let scatter ?skip payload =
-      let legs =
-        Array.init nf (fun j ->
-            if skip = Some j then None else Some (leg j payload))
-      in
-      fun () -> Array.map (Option.map (fun gather -> gather ())) legs
+    let send j =
+      post ~fresh:(Option.is_none broken.(j) && not (Links.cached followers j)) j
+    in
+    let drop j =
+      Links.drop followers j;
+      Queue.clear owed.(j);
+      Inbox.clear inboxes.(j);
+      broken.(j) <- None
     in
     let node =
       Node.create ~tuning cx ~id
-        { scatter;
-          drop = Links.drop followers;
-          journal = append;
-          snapshot = write_checkpoint }
+        { send; drop; journal = append; snapshot = write_checkpoint }
+    in
+    (* A failure on a link that was cached before the request went out
+       may just mean the peer restarted since we last spoke (a stale
+       persistent connection): the requests are re-posted once, in order,
+       over a fresh dial. A failure on a link dialed for a request is
+       authoritative — the follower really is down — and fails every
+       round waiting on it. *)
+    let rec heal () =
+      match Array.find_mapi (fun j e -> Option.map (fun e -> (j, e)) e) broken with
+      | None -> ()
+      | Some (j, err) ->
+        let requests = List.of_seq (Queue.to_seq owed.(j)) in
+        drop j;
+        if List.for_all (fun (_, _, fresh) -> not fresh) requests then
+          List.iter (fun (payload, _, _) -> post ~fresh:true j payload) requests
+        else Node.follower_failed node j err;
+        heal ()
     in
     let state = Node.server node in
     (* crash recovery: resume mid-collection from the latest snapshot, then
@@ -271,9 +279,13 @@ module Make (F : Prio_field.Field_intf.S) = struct
     let reply fd payload =
       ignore (write_frame ~deadline:(Retry.after tuning.io_timeout) fd payload)
     in
+    let conns = ref [] in
+    (* a round may answer a connection after it closed *)
+    let respond c payload = if List.memq c !conns then reply c.fd payload in
     (* the monitor and controller frames; every other frame is the
-       protocol's. The reply, and whether to [`Keep] the connection *)
-    let handle_frame frame =
+       protocol's. The reply (empty when it comes later, or never), and
+       whether to [`Keep] the connection *)
+    let handle_frame c frame =
       match Bytes.get frame 0 with
       | 'q' ->
         (* live metrics scrape: render this process's registry on demand;
@@ -303,55 +315,100 @@ module Make (F : Prio_field.Field_intf.S) = struct
                   })),
           `Keep )
       | 'X' -> raise Exit
-      | _ | (exception Invalid_argument _) -> Node.handle node frame
+      | _ | (exception Invalid_argument _) ->
+        (Bytes.empty, Node.handle node (Node.Client (respond c)) frame)
     in
-    (* select loop over the listener and all live connections; it blocks
-       until one is readable — nothing runs on a timer *)
-    let conns = ref [] in
-    let close_conn fd =
-      close_quietly fd;
-      conns := List.filter (fun c -> c <> fd) !conns
+    let close_conn c =
+      close_quietly c.fd;
+      conns := List.filter (fun c' -> c' != c) !conns
     in
+    (* One read of a readable socket, then every complete frame in its
+       inbox to [f] while [f] asks for more. *)
+    let drain inbox fd ~fail f =
+      let rec frames () =
+        match Inbox.take inbox with
+        | Ok None -> ()
+        | Ok (Some frame) -> if f frame then frames ()
+        | Error e -> fail e
+      in
+      match Inbox.fill inbox fd with Ok () -> frames () | Error e -> fail e
+    in
+    let serve_conn c =
+      drain c.inbox c.fd
+        ~fail:(fun e ->
+          (match e with
+          | Frame_oversize n -> respond c (error_frame Too_large (string_of_int n))
+          | Bad_frame why -> respond c (error_frame Malformed_frame why)
+          | _ -> (* EOF (normal disconnect), reset *) ());
+          close_conn c)
+        (fun frame ->
+          match
+            match faults with
+            | None -> Faults.Deliver frame
+            | Some f -> Faults.decide f frame
+          with
+          | Faults.Crash -> exit 70
+          | Faults.Drop -> true
+          | Faults.Disconnect ->
+            close_conn c;
+            false
+          | Faults.Deliver frame ->
+            let out, keep = handle_frame c frame in
+            if Bytes.length out > 0 then respond c out;
+            keep = `Keep || (close_conn c; false))
+    in
+    let serve_link j fd =
+      drain inboxes.(j) fd
+        ~fail:(fun e -> broken.(j) <- Some e)
+        (fun frame ->
+          ignore (Queue.take_opt owed.(j));
+          ignore (Node.handle node (Node.Follower j) frame);
+          true)
+    in
+    (* one select loop over the listener, the client connections and the
+       leader's follower links; it sleeps until a socket is readable or
+       the oldest reply a follower owes is due (a timed-out link heals
+       before the next sleep). A peer that stalls mid-frame holds only
+       its own connection. *)
     (try
        while true do
-         match Unix.select (listen_fd :: !conns) [] [] (-1.) with
+         (* a reply owed past its deadline fails its link *)
+         let now = Retry.now () and due = ref infinity in
+         Array.iteri
+           (fun j q ->
+             Option.iter
+               (fun (_, at, _) ->
+                 if at <= now then broken.(j) <- Some (Timeout "gossip reply");
+                 due := Float.min !due at)
+               (Queue.peek_opt q))
+           owed;
+         heal ();
+         let links = List.init nf Fun.id in
+         match
+           Unix.select
+             ((listen_fd :: List.filter_map (Links.fd followers) links)
+             @ List.map (fun c -> c.fd) !conns)
+             [] []
+             (if !due = infinity then -1. else Float.max 0. (!due -. now))
+         with
          | exception Unix.Unix_error (EINTR, _, _) -> ()
          | readable, _, _ ->
            List.iter
              (fun fd ->
                if fd = listen_fd then (
                  match Unix.accept listen_fd with
-                 | conn, _ ->
-                   (try Unix.setsockopt conn TCP_NODELAY true
+                 | fd, _ ->
+                   (try Unix.setsockopt fd TCP_NODELAY true
                     with Unix.Unix_error _ -> ());
-                   conns := conn :: !conns
+                   conns := { fd; inbox = Inbox.create () } :: !conns
                  | exception Unix.Unix_error _ -> ())
                else
-                 let deadline = Retry.after tuning.io_timeout in
-                 match read_frame ~deadline fd with
-                 | Error (Frame_oversize n) ->
-                   reply fd (error_frame Too_large (string_of_int n));
-                   close_conn fd
-                 | Error (Bad_frame why) ->
-                   reply fd (error_frame Malformed_frame why);
-                   close_conn fd
-                 | Error _ ->
-                   (* EOF (normal disconnect), timeout, reset *)
-                   close_conn fd
-                 | Ok frame -> (
-                   let verdict =
-                     match faults with
-                     | None -> Faults.Deliver frame
-                     | Some f -> Faults.decide f frame
-                   in
-                   match verdict with
-                   | Faults.Crash -> exit 70
-                   | Faults.Drop -> ()
-                   | Faults.Disconnect -> close_conn fd
-                   | Faults.Deliver frame ->
-                     let out, keep = handle_frame frame in
-                     reply fd out;
-                     if keep = `Close then close_conn fd))
+                 match
+                   List.find_opt (fun j -> Links.fd followers j = Some fd) links
+                 with
+                 | Some j -> serve_link j fd
+                 | None ->
+                   List.iter (fun c -> if c.fd = fd then serve_conn c) !conns)
              readable
        done
      with Exit -> ());
@@ -369,7 +426,7 @@ module Make (F : Prio_field.Field_intf.S) = struct
       with Sys_error _ -> ())
     | _ -> ());
     (match !journal with Some j -> Ckpt.journal_close j | None -> ());
-    List.iter close_quietly !conns;
+    List.iter (fun c -> close_quietly c.fd) !conns;
     Links.close followers;
     close_quietly listen_fd
 

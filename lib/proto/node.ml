@@ -42,10 +42,10 @@ module Make (F : Prio_field.Field_intf.S) = struct
   (* One server's protocol without sockets, files or clocks; it reaches
      the outside only through [effects] (see the interface). *)
   module Node = struct
+    type origin = Client of (Bytes.t -> unit) | Follower of int
+
     type effects = {
-      scatter :
-        ?skip:int -> Bytes.t ->
-        (unit -> (Bytes.t, protocol_error) result option array);
+      send : int -> Bytes.t -> unit;
       drop : int -> unit;
       journal : Checkpoint.Make(F).journal_entry -> bool;
       snapshot : Server.t -> unit;
@@ -54,6 +54,31 @@ module Make (F : Prio_field.Field_intf.S) = struct
     type pending = {
       share : F.t array;
       mutable state : Snip.server_state option;
+    }
+
+    (* A leader round for one submission, from the [V] that opens it to
+       the answer of every [V] waiting on it. Each stage posts one frame
+       to every follower and runs the leader's own step while they work;
+       it ends when the last reply it is owed arrives, and the next
+       stage starts from there. *)
+    type stage =
+      | Opening of Snip.server_state  (** [o] out; the leader's own state *)
+      | Deciding  (** [d] out *)
+      | Committing of Bytes.t option
+          (** [a]/[r] out. [Some] holds a degraded abort's answer; [None]
+              answers with the verdict once every follower acked *)
+
+    type round = {
+      client : int;
+      share : F.t array;
+      tctx : Trace.context option;  (** the [V]'s: each step's span parent *)
+      mutable stage : stage;
+      mutable accepted : bool;
+      mutable left : int;  (** follower replies this stage still awaits *)
+      mutable sum : F.t * F.t;  (** the leader's pair plus each reply's *)
+      mutable failed : (int * protocol_error) option;  (** the first *)
+      mutable waiters : (Bytes.t -> unit) list;  (** every [V], newest first *)
+      opened : float option;  (** when a verify round opened; not a repair *)
     }
 
     (* Everything fixed for the whole deployment, built once: the batch
@@ -78,6 +103,10 @@ module Make (F : Prio_field.Field_intf.S) = struct
          follower. A duplicate [V] for such an id triggers a repair
          re-broadcast instead of a plain re-ack. *)
       uncommitted : (int, unit) Hashtbl.t;
+      rounds : (int, round) Hashtbl.t;  (** leader: in flight, by client *)
+      owed : round Queue.t array;
+          (** leader: per follower, the rounds its next replies answer —
+              a follower answers a link's frames in order *)
       mutable since_ckpt : int;  (** decisions since the last snapshot *)
     }
 
@@ -90,6 +119,11 @@ module Make (F : Prio_field.Field_intf.S) = struct
             ~payload_elements:
               (C.num_inputs cfg.circuit + Snip.proof_num_elements cfg.circuit);
         pending = Hashtbl.create 64; uncommitted = Hashtbl.create 16;
+        rounds = Hashtbl.create 16;
+        owed =
+          Array.init
+            (if id = 0 then cfg.num_servers - 1 else 0)
+            (fun _ -> Queue.create ());
         since_ckpt = 0 }
 
     let server t = t.server
@@ -192,136 +226,178 @@ module Make (F : Prio_field.Field_intf.S) = struct
       Snip.server_prepare t.cx.batch
         (Snip.submission_of_vector t.cx.cfg.circuit p.share)
 
-    (* One leader round: post [payload] to every follower but [skip], run
-       the leader's own step [local] while they work, then gather every
-       reply. The followers' SNIP work and journal appends overlap instead
-       of adding up. *)
-    let broadcast t ?skip payload local =
-      let gather = t.fx.scatter ?skip payload in
-      let mine = local () in
-      (mine, gather ())
-
     let pair_bytes a b = Bytes.cat (F.to_bytes a) (F.to_bytes b)
-    let has_tag c r = Bytes.length r > 0 && Bytes.get r 0 = c
     let ack accepted = tagged (if accepted then 'K' else 'R') Bytes.empty
 
     (* gossip and decision frames carry the leader's open verify span as
        context, so every follower's spans join the client's trace *)
     let id_ctx client_id = Bytes.cat (put_u32 client_id) (ctx_bytes ())
 
-    (* Two-phase decision broadcast: send [a]/[r] to the followers and
-       wait for each [c] commit ack, meaning that follower journaled the
-       verdict before replying. [true] only when every follower sent a
-       genuine ack. An [E] reply (e.g. the follower's journal is failing)
-       keeps the connection; any other reply means the streams are
-       desynced. *)
-    let commit_all t ?skip ~client_id accepted local =
-      let (), replies =
-        broadcast t ?skip
-          (tagged (if accepted then 'a' else 'r') (id_ctx client_id))
-          local
-      in
-      let all_acked = ref true in
+    let commit_pending () =
+      error_frame Commit_pending "decision journaled, follower ack outstanding"
+
+    (* ------------------------- leader rounds ------------------------- *)
+
+    (* Post [payload] to every follower but [skip]; each then owes [r]
+       one reply. *)
+    let post t r ?skip payload =
       Array.iteri
-        (fun j r ->
-          match r with
-          | None -> ()
-          | Some (Ok r) when has_tag 'c' r -> Metrics.incr m_commit_acks
-          | Some r ->
-            (match r with
-            | Ok r when not (has_tag 'E' r) -> t.fx.drop j
-            | Ok _ | Error _ -> ());
-            Metrics.incr m_commit_failures;
-            all_acked := false)
-        replies;
-      !all_acked
+        (fun j owed ->
+          if skip <> Some j then begin
+            Queue.push r owed;
+            r.left <- r.left + 1;
+            t.fx.send j payload
+          end)
+        t.owed
+
+    (* A step after the first runs in a span of its own under the [V]'s
+       context: the leader's spans cover its own work, not the wait *)
+    let step r t f =
+      Trace.with_span_ctx ?ctx:r.tctx "server.verify" ~attrs:(attrs t r.client)
+        f
+
+    (* Follower [j]'s reply to [r], or its failure, folded in: a pair
+       sums into the round, a [c] is an ack. The last one due ends the
+       stage. *)
+    let rec answered t r j reply =
+      r.left <- r.left - 1;
+      (match reply with
+      | Ok (Some (x, y)) ->
+        let a, b = r.sum in
+        r.sum <- (F.add a x, F.add b y)
+      | Ok None -> Metrics.incr m_commit_acks
+      | Error err ->
+        (match r.stage with
+        | Committing _ -> Metrics.incr m_commit_failures
+        | _ -> ());
+        if Option.is_none r.failed then r.failed <- Some (j, err));
+      settle t r
+
+    and settle t r =
+      if r.left = 0 then
+        match (r.stage, r.failed) with
+        | Committing answer, _ -> finish t r answer
+        | (Opening _ | Deciding), Some (j, err) ->
+          (* graceful degradation: this submission is cleanly rejected
+             everywhere — a journaled, acked [r] to the other followers
+             — and the leader keeps serving *)
+          let why =
+            Printf.sprintf "follower %d: %s" (j + 1) (string_of_protocol_error err)
+          in
+          step r t (fun () ->
+              commit t r ~skip:j false (Some (error_frame Unavailable why)))
+        | Opening st, None ->
+          (* round 2: broadcast the sums; followers decide alongside the
+             leader *)
+          let d, e = r.sum in
+          step r t (fun () ->
+              post t r (tagged 'd' (Bytes.cat (id_ctx r.client) (pair_bytes d e)));
+              let v = Snip.server_decide_share t.cx.batch st ~d ~e in
+              r.stage <- Deciding;
+              r.sum <- (v.Snip.sigma, v.Snip.zero));
+          settle t r
+        | Deciding, None ->
+          let sigma, zero = r.sum in
+          step r t (fun () ->
+              commit t r (F.is_zero sigma && F.is_zero zero) None)
 
     (* The leader's commit point, for a verdict and for a degraded abort
        alike: write-ahead the verdict before any [a]/[r] goes out (a
        journal failure here degrades durability, like a failed checkpoint
-       — the decision still stands), then run the acked broadcast,
-       applying the verdict while the followers journal theirs. The
-       client is only acked once every follower confirmed its journal
-       write; a partial broadcast returns [false] and is repaired by the
-       client's resubmission. [journal_decision] is idempotent against an
-       already-recorded verdict, so a repeated abort (client retry after
-       a degraded round) cannot journal a contradictory decision. *)
-    let commit t ?skip ~client_id accepted share =
-      ignore (journal_decision t ~client_id accepted share : bool);
-      commit_all t ?skip ~client_id accepted (fun () ->
-          if accepted then apply t ~client_id share)
+       — the decision still stands), post it, and apply and record it
+       while the followers journal theirs. The client is only acked once
+       every follower confirmed its journal write ({!finish}).
+       [journal_decision] is idempotent against an already-recorded
+       verdict, so a repeated abort cannot journal a contradictory
+       decision. *)
+    and commit t r ?skip accepted answer =
+      ignore (journal_decision t ~client_id:r.client accepted r.share : bool);
+      r.stage <- Committing answer;
+      r.accepted <- accepted;
+      post t r ?skip (tagged (if accepted then 'a' else 'r') (id_ctx r.client));
+      if accepted then apply t ~client_id:r.client r.share;
+      retire t ~client_id:r.client accepted;
+      settle t r
 
-    (* leader: drive the two SNIP gossip rounds for one pending client.
-       Any follower failure aborts just this submission (a journaled,
-       acked [r] broadcast to the other followers) and reports the first
-       failed follower, so the leader can degrade instead of dying. *)
-    let verify t client_id (p : pending) =
-      let exception Degraded of int * protocol_error in
-      try
-        let expect_pair j tag = function
-          | Error err -> Error err
-          | Ok r -> (
-            let bad why =
-              t.fx.drop j;
-              Error (Bad_frame why)
-            in
-            if Bytes.length r = 0 then bad "empty gossip reply"
-            else if Bytes.get r 0 <> tag then
-              bad (Printf.sprintf "unexpected gossip reply %C" (Bytes.get r 0))
-            else
-              match W.field_pair_opt r ~off:1 with
-              | Some pair -> Ok pair
-              | None -> bad "bad gossip payload")
-        in
-        (* fold every follower's pair into the leader's own; every reply
-           is checked (dropping desynced links) before the first failure
-           aborts the submission *)
-        let sum_pairs tag (a, b) replies =
-          let a = ref a and b = ref b and failed = ref None in
-          Array.iteri
-            (fun j r ->
-              match Option.map (expect_pair j tag) r with
-              | None -> ()
-              | Some (Ok (x, y)) ->
-                a := F.add !a x;
-                b := F.add !b y
-              | Some (Error err) ->
-                if Option.is_none !failed then failed := Some (j, err))
-            replies;
-          match !failed with
-          | Some (j, err) -> raise (Degraded (j, err))
-          | None -> (!a, !b)
-        in
-        let id_ctx = id_ctx client_id in
-        (* round 1: followers open while the leader prepares its share *)
-        let (my_state, my_opening), replies =
-          broadcast t (tagged 'o' id_ctx) (fun () -> prepare t p)
-        in
-        let d, e =
-          sum_pairs 'O' (my_opening.Snip.d, my_opening.Snip.e) replies
-        in
-        (* round 2: broadcast sums; followers decide alongside the leader *)
-        let my_verdict, replies =
-          broadcast t
-            (tagged 'd' (Bytes.cat id_ctx (pair_bytes d e)))
-            (fun () -> Snip.server_decide_share t.cx.batch my_state ~d ~e)
-        in
-        let sigma, zero =
-          sum_pairs 'S' (my_verdict.Snip.sigma, my_verdict.Snip.zero) replies
-        in
-        let accepted = F.is_zero sigma && F.is_zero zero in
-        Ok (accepted, commit t ~client_id accepted p.share)
-      with Degraded (j, err) ->
-        ignore (commit t ~skip:j ~client_id false p.share : bool);
-        Error (j, err)
+    (* Every follower answered the commit: answer every [V] waiting. A
+       partial broadcast leaves the verdict durable here but not
+       everywhere — the client is made to come back ([Commit_pending]
+       drives a resubmission) and the retry repairs it. *)
+    and finish t r answer =
+      Hashtbl.remove t.rounds r.client;
+      (* the leader's verify stage is the whole round, waits included *)
+      Option.iter
+        (fun t0 -> Metrics.observe h_stage_verify (Metrics.now () -. t0))
+        r.opened;
+      let out =
+        match (answer, r.failed) with
+        | Some out, _ -> out
+        | None, None ->
+          if Hashtbl.mem t.uncommitted r.client then begin
+            Hashtbl.remove t.uncommitted r.client;
+            Metrics.incr m_commit_repairs;
+            Trace.event "server.commit_repaired"
+              ~attrs:[ ("client", string_of_int r.client) ]
+          end;
+          ack r.accepted
+        | None, Some _ ->
+          Hashtbl.replace t.uncommitted r.client ();
+          commit_pending ()
+      in
+      List.iter (fun respond -> respond out) (List.rev r.waiters)
 
-    let commit_pending () =
-      error_frame Commit_pending "decision journaled, follower ack outstanding"
+    (* Open a round for [client_id] and post its first frame. *)
+    let open_round t client_id ~share ~tctx ~accepted stage respond payload =
+      let r =
+        { client = client_id; share; tctx; stage; accepted; left = 0;
+          sum = (F.zero, F.zero); failed = None; waiters = [ respond ];
+          opened =
+            (match stage with
+            | Committing _ -> None
+            | Opening _ | Deciding -> Some (Metrics.now ())) }
+      in
+      Hashtbl.replace t.rounds client_id r;
+      post t r payload;
+      r
 
-    (* One protocol frame in, its reply out, plus whether the connection
-       stays open ([`Close]: the stream is desynced or hostile). Every
-       frame but [Q] opens with client_id ‖ ctx. *)
-    let handle t frame =
+    let follower_failed t j err =
+      let owed = List.of_seq (Queue.to_seq t.owed.(j)) in
+      Queue.clear t.owed.(j);
+      List.iter (fun r -> answered t r j (Error err)) owed
+
+    (* Follower [j]'s next frame answers the oldest request it owes. An
+       [E] refusal fails just that round; any other reply the stage does
+       not expect means the link is out of step, so it is dropped with
+       every round still waiting on it. *)
+    let reply t j frame =
+      match Queue.peek_opt t.owed.(j) with
+      | None -> t.fx.drop j
+      | Some r -> (
+        let pair tag =
+          Result.bind (expect_reply tag frame) (fun _ ->
+              match W.field_pair_opt frame ~off:1 with
+              | Some pair -> Ok (Some pair)
+              | None -> Error (Bad_frame "bad gossip payload"))
+        in
+        let reply =
+          match r.stage with
+          | Opening _ -> pair 'O'
+          | Deciding -> pair 'S'
+          | Committing _ -> Result.map (fun _ -> None) (expect_reply 'c' frame)
+        in
+        match reply with
+        | Error (Bad_frame _ as err) ->
+          t.fx.drop j;
+          follower_failed t j err
+        | _ ->
+          ignore (Queue.pop t.owed.(j) : round);
+          answered t r j reply)
+
+    (* One client frame in, its reply out — empty when a round answers
+       later — plus whether the connection stays open ([`Close]: the
+       stream is desynced or hostile). Every frame but [Q] opens with
+       client_id ‖ ctx. *)
+    let request t frame respond =
       let client len k =
         if Bytes.length frame < len then
           (error_frame Malformed_frame "short frame", `Close)
@@ -370,22 +446,27 @@ module Make (F : Prio_field.Field_intf.S) = struct
             @@ fun () ->
             if id t <> 0 then error_frame Unavailable "not the leader"
             else
-              match Server.decision t.server ~client_id with
-              | Some accepted when Hashtbl.mem t.uncommitted client_id ->
+              match
+                ( Hashtbl.find_opt t.rounds client_id,
+                  Server.decision t.server ~client_id )
+              with
+              | Some r, _ ->
+                (* a retried [V] while the round is in flight: no second
+                   round, the same answer *)
+                r.waiters <- respond :: r.waiters;
+                Bytes.empty
+              | None, Some accepted when Hashtbl.mem t.uncommitted client_id ->
                 (* the verdict is journaled here but some follower never
                    acked it (crash mid-broadcast, or replayed from the
                    journal after a leader restart): repair by re-running
                    the acked broadcast before re-acking the client *)
-                if commit_all t ~client_id accepted ignore then begin
-                  Hashtbl.remove t.uncommitted client_id;
-                  Metrics.incr m_commit_repairs;
-                  Trace.event "server.commit_repaired"
-                    ~attrs:[ ("client", string_of_int client_id) ];
-                  ack accepted
-                end
-                else commit_pending ()
-              | Some accepted -> ack accepted
-              | None -> (
+                settle t
+                  (open_round t client_id ~share:[||] ~tctx ~accepted
+                     (Committing None) respond
+                     (tagged (if accepted then 'a' else 'r') (id_ctx client_id)));
+                Bytes.empty
+              | None, Some accepted -> ack accepted
+              | None, None -> (
                 match Hashtbl.find_opt t.pending client_id with
                 | None ->
                   (* no verdict and no share: the client only verifies
@@ -394,27 +475,18 @@ module Make (F : Prio_field.Field_intf.S) = struct
                      verdict — no server holds one. A resubmission
                      re-seeds the share; refusing would lose it. *)
                   error_frame Commit_pending "no pending share; resubmit"
-                | Some p -> (
-                  let verdict =
-                    Metrics.time h_stage_verify (fun () -> verify t client_id p)
+                | Some p ->
+                  (* the SNIP gossip, round 1: the followers open while
+                     the leader prepares its share *)
+                  let r =
+                    open_round t client_id ~share:p.share ~tctx ~accepted:false
+                      Deciding respond (tagged 'o' (id_ctx client_id))
                   in
-                  retire t ~client_id
-                    (match verdict with Ok (a, _) -> a | Error _ -> false);
-                  match verdict with
-                  | Ok (accepted, true) -> ack accepted
-                  | Ok (_, false) ->
-                    (* partial broadcast: the verdict is durable here but
-                       not everywhere — make the client come back
-                       ([Commit_pending] drives a resubmission) and
-                       remember to repair on that retry *)
-                    Hashtbl.replace t.uncommitted client_id ();
-                    commit_pending ()
-                  | Error (j, err) ->
-                    (* graceful degradation: this submission is cleanly
-                       rejected, the leader keeps serving *)
-                    error_frame Unavailable
-                      (Printf.sprintf "follower %d: %s" (j + 1)
-                         (string_of_protocol_error err)))))
+                  let st, opening = prepare t p in
+                  r.stage <- Opening st;
+                  r.sum <- (opening.Snip.d, opening.Snip.e);
+                  settle t r;
+                  Bytes.empty))
       | 'o' ->
         client 5 (fun client_id tctx _ ->
             match Hashtbl.find_opt t.pending client_id with
@@ -459,6 +531,9 @@ module Make (F : Prio_field.Field_intf.S) = struct
               (* already journaled and applied (the previous ack was
                  lost): re-ack, never re-accumulate *)
               tagged 'c' Bytes.empty
+            | None, _ when Hashtbl.mem t.rounds client_id ->
+              (* only a leader has rounds, and its own round decides *)
+              error_frame Unavailable "verify in flight"
             | None, None when accepted ->
               (* no share to aggregate: the upload never landed (or a
                  restart dropped it). Refusing the ack makes the leader
@@ -487,6 +562,16 @@ module Make (F : Prio_field.Field_intf.S) = struct
               end)
       | 'Q' -> (tagged 'A' (W.vector_to_bytes (Server.publish t.server)), `Keep)
       | c -> (error_frame Unknown_tag (Printf.sprintf "%C" c), `Close)
+
+    let handle t origin frame =
+      match origin with
+      | Follower j ->
+        reply t j frame;
+        `Keep
+      | Client respond ->
+        let out, keep = request t frame respond in
+        if Bytes.length out > 0 then respond out;
+        keep
   end
 
   let context_config (cx : Node.context) = cx.Node.cfg

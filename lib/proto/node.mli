@@ -20,19 +20,36 @@ module Make (F : Prio_field.Field_intf.S) : sig
       the leader's two SNIP gossip rounds, the two-phase decision
       broadcast, epoch rotation and the snapshot cadence. [Net.Make.serve]
       drives it over TCP; a test can wire several nodes' {!effects}
-      straight into each other's {!handle}. *)
+      straight into each other's {!handle}.
+
+      The leader is event-driven: it keeps one round per submission in
+      flight (opening, deciding, committing), keyed by client id, and
+      serves other frames while a round waits on its followers. The
+      followers' replies are inputs ({!handle} from [Follower j]); a
+      follower answers each link's frames in order, so a reply belongs to
+      the oldest request still owed on its link. *)
   module Node : sig
+    (** Where a frame came from. *)
+    type origin =
+      | Client of (Bytes.t -> unit)
+          (** a client's connection (for a follower, also the leader's
+              link), answered through this function: at once, or for a
+              [V] when its round ends *)
+      | Follower of int
+          (** leader only: follower [j]'s link (0-based); each frame is a
+              reply to the oldest request posted to [j] *)
+
     (** Everything the core asks of the outside world. *)
     type effects = {
-      scatter :
-        ?skip:int -> Bytes.t ->
-        (unit -> (Bytes.t, Transport.protocol_error) result option array);
-          (** leader only: post the frame to every follower but [skip]
-              (0-based follower index) now, and return a thunk that
-              gathers their replies in follower order ([None] for
-              [skip]). The leader's own step runs between the two. *)
+      send : int -> Bytes.t -> unit;
+          (** leader only: post the frame to follower [j] (0-based). Its
+              reply comes back as a {!handle} input from [Follower j], or
+              the link fails as one {!follower_failed} input. Never calls
+              back into the node. *)
       drop : int -> unit;
-          (** drop the link to a follower whose reply desynced the stream *)
+          (** drop the link to a follower whose reply desynced the stream,
+              forgetting every request still posted on it: the node has
+              failed their rounds itself *)
       journal : Checkpoint.Make(F).journal_entry -> bool;
           (** the write-ahead append, durable on return; [false] when the
               journal refused the record *)
@@ -74,10 +91,21 @@ module Make (F : Prio_field.Field_intf.S) : sig
         [journal_seq] watermark. The leader marks them uncommitted, so a
         retried [V] repairs a broadcast the crash cut short. *)
 
-    val handle : t -> Bytes.t -> Bytes.t * [ `Keep | `Close ]
-    (** Answer one [P], [V], [o], [d], [a], [r] or [Q] frame with the
-        reply frame; [`Close] when the stream is malformed or the tag
-        unknown. *)
+    val handle : t -> origin -> Bytes.t -> [ `Keep | `Close ]
+    (** One frame in. From a [Client]: a [P], [V], [o], [d], [a], [r] or
+        [Q] frame, answered through the origin's function — a [V] that
+        opens or joins a round when the round ends, every other frame at
+        once — and [`Close] when the stream is malformed or the tag
+        unknown ([O], [S] and [c] included). From [Follower j]: a reply,
+        which advances its round; one that desyncs the link drops it
+        ({!effects.drop}) and fails every round still waiting on [j]. *)
+
+    val follower_failed : t -> int -> Transport.protocol_error -> unit
+    (** Leader only: follower [j]'s link failed (no reply within
+        [Net.serve]'s deadline, EOF, a write error) and every request posted
+        on it is lost. Each round waiting on [j] fails: a gossip round
+        aborts (a journaled [r] to the other followers, [E/Unavailable]
+        to the client), a commit is left partial ([E/Commit_pending]). *)
   end
 
   val context_config : Node.context -> config

@@ -222,49 +222,71 @@ let write_frame ?(deadline = Retry.no_deadline) fd (payload : Bytes.t) :
     e
   | Error _ as e -> e
 
-let read_exactly fd n deadline : (Bytes.t, protocol_error) result =
-  let buf = Bytes.create n in
-  let rec go got =
-    if got = n then Ok buf
-    else if not (wait_io ~read:true fd deadline) then
-      Error (Timeout "read_frame")
-    else
-      match Unix.read fd buf got (n - got) with
-      | 0 -> Error (Closed "read_frame: eof")
-      | r -> go (got + r)
-      | exception Unix.Unix_error (EINTR, _, _) -> go got
-      | exception Unix.Unix_error (ECONNRESET, _, _) ->
-        Error (Closed "read_frame: reset")
-      | exception Unix.Unix_error (e, _, _) ->
-        Error (Io_error ("read_frame: " ^ Unix.error_message e))
-  in
-  go 0
+(* ------------------------------- inboxes ------------------------------- *)
 
-let read_frame ?(deadline = Retry.no_deadline)
-    ?(max_bytes = max_frame_bytes) fd :
-    (Bytes.t, protocol_error) result =
-  match read_exactly fd 4 deadline with
-  | Error (Timeout _) as e ->
-    Metrics.incr m_timeouts;
-    e
-  | Error _ as e -> e
-  | Ok hdr -> (
-    let n = get_u32 hdr 0 in
-    if n > max_bytes then
-      (* refuse before allocating attacker-controlled memory *)
-      Error (Frame_oversize n)
-    else if n = 0 then Error (Bad_frame "empty (tag-less) frame")
+(* One connection's bytes so far, reassembled into frames: an event loop
+   reads what one [read] of a readable socket returns and takes out each
+   complete frame, so a peer that stalls mid-frame holds up only its own
+   connection; [read_frame] reads only the frame at hand. The buffer
+   grows with what arrives, by at most 64 KiB a read beyond what a
+   header announces. *)
+module Inbox = struct
+  type t = { mutable buf : Bytes.t; mutable len : int }
+
+  let create () = { buf = Bytes.empty; len = 0 }
+  let clear t = t.len <- 0
+
+  let fill ?(exact = false) t fd =
+    (* the rest of the frame's header, then of its body *)
+    let missing = if t.len < 4 then 4 - t.len else 4 + get_u32 t.buf 0 - t.len in
+    let want = if exact then missing else max 4096 (min missing 65536) in
+    if Bytes.length t.buf - t.len < want then begin
+      let b = Bytes.create (max (t.len + want) (2 * Bytes.length t.buf)) in
+      Bytes.blit t.buf 0 b 0 t.len;
+      t.buf <- b
+    end;
+    match Unix.read fd t.buf t.len (if exact then want else Bytes.length t.buf - t.len) with
+    | 0 -> Error (Closed "read_frame: eof")
+    | n ->
+      t.len <- t.len + n;
+      Ok ()
+    | exception Unix.Unix_error ((EINTR | EAGAIN | EWOULDBLOCK), _, _) -> Ok ()
+    | exception Unix.Unix_error (ECONNRESET, _, _) ->
+      Error (Closed "read_frame: reset")
+    | exception Unix.Unix_error (e, _, _) ->
+      Error (Io_error ("read_frame: " ^ Unix.error_message e))
+
+  let take t =
+    if t.len < 4 then Ok None
     else
-      match read_exactly fd n deadline with
-      | Ok frame ->
+      let n = get_u32 t.buf 0 in
+      if n > max_frame_bytes then Error (Frame_oversize n)
+      else if n = 0 then Error (Bad_frame "empty (tag-less) frame")
+      else if t.len < 4 + n then Ok None
+      else begin
+        let frame = Bytes.sub t.buf 4 n in
+        t.len <- t.len - 4 - n;
+        Bytes.blit t.buf (4 + n) t.buf 0 t.len;
         Metrics.add m_rx_bytes (4 + n);
         Metrics.incr m_rx_frames;
         Metrics.observe_int h_frame_bytes n;
-        Ok frame
-      | Error (Timeout _) as e ->
-        Metrics.incr m_timeouts;
-        e
-      | Error _ as e -> e)
+        Ok (Some frame)
+      end
+end
+
+let read_frame ?(deadline = Retry.no_deadline) fd =
+  let inbox = Inbox.create () in
+  let rec next () =
+    match Inbox.take inbox with
+    | Ok (Some frame) -> Ok frame
+    | Error _ as e -> e
+    | Ok None when wait_io ~read:true fd deadline ->
+      Result.bind (Inbox.fill ~exact:true inbox fd) next
+    | Ok None ->
+      Metrics.incr m_timeouts;
+      Error (Timeout "read_frame")
+  in
+  next ()
 
 (* ----------------------------- error frame ----------------------------- *)
 
@@ -309,6 +331,7 @@ let parse_error_frame frame =
    [Peer_error], any other tag as [Bad_frame]. *)
 let expect_reply expect reply =
   match Bytes.get reply 0 with
+  | exception Invalid_argument _ -> Error (Bad_frame "empty reply")
   | 'E' -> (
     match parse_error_frame reply with
     | Some (c, detail) -> Error (Peer_error (c, detail))
@@ -343,8 +366,8 @@ let send_frame ?faults ?deadline fd payload =
 
 (** Frame read through an optional fault injector; a dropped reply
     surfaces as the [Timeout] the caller would have seen for real. *)
-let recv_frame ?faults ?deadline ?max_bytes fd =
-  match read_frame ?deadline ?max_bytes fd with
+let recv_frame ?faults ?deadline fd =
+  match read_frame ?deadline fd with
   | Error _ as e -> e
   | Ok frame -> (
     match faults with
@@ -446,6 +469,7 @@ module Links = struct
   let create ~tuning ~retry_refused peers =
     { peers; fds = Array.make (Array.length peers) None; tuning; retry_refused }
 
+  let fd l i = l.fds.(i)
   let cached l i = Option.is_some l.fds.(i)
 
   let drop l i =

@@ -98,11 +98,32 @@ val write_frame :
 (** Length-prefix and send one frame: header and payload are assembled
     into a single buffer and pushed through one bounded write loop. *)
 
+(** One connection's received bytes, reassembled into frames without
+    blocking: an event loop {!Inbox.fill}s it once per readable event and
+    {!Inbox.take}s each complete frame, so a peer that stalls mid-frame
+    holds up only its own connection. *)
+module Inbox : sig
+  type t
+
+  val create : unit -> t
+
+  val fill : ?exact:bool -> t -> Unix.file_descr -> (unit, protocol_error) result
+  (** One [read] of what a readable socket holds ([Closed] at EOF); with
+      [exact], no more than the frame at hand still lacks. *)
+
+  val take : t -> (Bytes.t option, protocol_error) result
+  (** The next complete frame, [None] while it is partial; a header
+      announcing more than {!max_frame_bytes} is [Frame_oversize] before
+      its body is read, an empty frame [Bad_frame]. *)
+
+  val clear : t -> unit
+  (** Forget everything received (the connection was replaced). *)
+end
+
 val read_frame :
-  ?deadline:Retry.deadline -> ?max_bytes:int -> Unix.file_descr ->
-  (Bytes.t, protocol_error) result
-(** Read one frame. [Frame_oversize] is returned {e before} allocating a
-    peer-announced buffer; empty (tag-less) frames are [Bad_frame]. *)
+  ?deadline:Retry.deadline -> Unix.file_descr -> (Bytes.t, protocol_error) result
+(** Read one frame, and nothing past it, through an {!Inbox}: the same
+    refusals, and [Timeout] at the deadline. *)
 
 val send_frame :
   ?faults:Faults.t -> ?deadline:Retry.deadline -> Unix.file_descr ->
@@ -113,8 +134,8 @@ val send_frame :
     returns [Closed], but leaves [fd] open: its owner closes it once. *)
 
 val recv_frame :
-  ?faults:Faults.t -> ?deadline:Retry.deadline -> ?max_bytes:int ->
-  Unix.file_descr -> (Bytes.t, protocol_error) result
+  ?faults:Faults.t -> ?deadline:Retry.deadline -> Unix.file_descr ->
+  (Bytes.t, protocol_error) result
 (** {!read_frame} through an optional fault injector (a dropped reply
     surfaces as [Timeout]; a [Disconnect] behaves as in {!send_frame}). *)
 
@@ -123,6 +144,10 @@ val error_frame : error_code -> string -> Bytes.t
 
 val parse_error_frame : Bytes.t -> (error_code * string) option
 (** Decode an [E] frame (first byte already known to be ['E']). *)
+
+val expect_reply : char -> Bytes.t -> (Bytes.t, protocol_error) result
+(** A reply that must carry the given tag: an [E] reply is [Peer_error],
+    any other tag (or none) [Bad_frame]. *)
 
 val close_quietly : Unix.file_descr -> unit
 (** Close, ignoring a descriptor that is already gone. *)
@@ -154,6 +179,9 @@ module Links : sig
     tuning:tuning -> retry_refused:bool -> Unix.sockaddr array ->
     (t -> 'a) -> 'a
   (** Links that live for one call of [f] and are closed after it. *)
+
+  val fd : t -> int -> Unix.file_descr option
+  (** Peer [i]'s open connection, without dialing. *)
 
   val cached : t -> int -> bool
   (** Is a connection to peer [i] open? *)

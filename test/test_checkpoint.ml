@@ -342,6 +342,24 @@ let test_journal_tamper () =
           (String.equal mauled (journal_bytes dir)))
       [ 0x01; 0x80 ]
   done;
+  (* the last record has no later record to vouch for it: a flipped bit
+     in it is still corruption, not a torn tail, so the acknowledged
+     record is not truncated away *)
+  let b = Bytes.of_string five in
+  (* record 5 is an accept of width 3: 17 fixed bytes, an 8-byte head
+     MAC, the share and a 24-byte chain tag *)
+  let last = String.length five - (17 + 8 + (3 * F.bytes_len) + 24) in
+  Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lxor 0x01));
+  let mauled = Bytes.to_string b in
+  write_journal dir mauled;
+  (match CkF.journal_open ~key:jkey ~dir ~server_id:1 () with
+  | Error Ck.Bad_hmac -> ()
+  | Error e -> Alcotest.failf "last record: unexpected %s" (Ck.string_of_error e)
+  | Ok (entries, j) ->
+    CkF.journal_close j;
+    Alcotest.failf "last record: opened with %d entries" (List.length entries));
+  Alcotest.(check bool) "last record: file untouched" true
+    (String.equal mauled (journal_bytes dir));
   (* wrong key (another deployment) fails the same way *)
   write_journal dir whole;
   let other = Ck.derive_journal_key ~master:(Rng.bytes rng 32) ~server_id:1 in

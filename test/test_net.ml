@@ -1095,6 +1095,48 @@ let test_uploads_overlap () =
     Alcotest.failf "uploads took %.3f s: the slow followers were not overlapped"
       (last -. first)
 
+(* A peer that starts a frame and stalls holds up only its own
+   connection: with a frame header and one byte sent to every server and
+   nothing more, honest submissions finish as fast as without it, long
+   before the 5 s [io_timeout] that used to bound the wait. *)
+let test_stalled_connection () =
+  let afe = Sum.sum ~bits:4 in
+  let tuning = NetT.{ fast_tuning with io_timeout = 5.0 } in
+  with_deployment ~tuning afe (fun d ->
+      let next = ref 0 in
+      (* three submissions' times, each sealed before its clock starts *)
+      let three () =
+        List.init 3 (fun _ ->
+            let client_id = !next in
+            incr next;
+            let pk = seal d ~rng ~client_id (afe.A.encode ~rng 1) in
+            let t0 = Retry.now () in
+            Alcotest.(check bool) "accepted" true
+              (submit_packets d ~rng ~client_id pk = Net.Accepted);
+            Retry.now () -. t0)
+      in
+      ignore (three ());
+      let unstalled = List.fold_left Float.min infinity (three ()) in
+      let stalled =
+        Array.map
+          (fun addr ->
+            let fd = ok_exn (NetT.dial addr) in
+            let part = Bytes.cat (NetT.put_u32 64) (Bytes.of_string "P") in
+            Alcotest.(check int) "partial frame sent" 5
+              (Unix.write fd part 0 (Bytes.length part));
+            fd)
+          d.Net.addrs
+      in
+      (* every one of them, the first included *)
+      let during = List.fold_left Float.max 0. (three ()) in
+      Array.iter Unix.close stalled;
+      if during > unstalled +. 0.05 then
+        Alcotest.failf "a stalled connection held submissions: %.1f ms, %.1f ms without it"
+          (1000. *. during) (1000. *. unstalled);
+      let total = afe.A.decode ~n:!next (collect_exn d) in
+      Alcotest.(check string) "aggregate" (string_of_int !next)
+        (Prio_bigint.Bigint.to_string total))
+
 (* ------------------------- telemetry plane --------------------------- *)
 
 let test_scrape_and_health () =
@@ -1322,6 +1364,8 @@ let () =
             test_idempotent_retries;
           Alcotest.test_case "collect names a dead server" `Quick
             test_collect_names_dead_server;
+          Alcotest.test_case "stalled connection holds no one else" `Quick
+            test_stalled_connection;
         ] );
       ( "admission & durability",
         [
